@@ -7,12 +7,13 @@ import repro.benchlib.Fig3Harness
 /** Figure 3: "intersect distinct" over two 1,000,000-row inputs with memory
   * for 100,000 rows per blocking operator (the paper's 100M/10M setup at 1/100
   * scale, preserving the 10:1 input:memory ratio). Prints the table recorded
-  * in EXPERIMENTS.md.
+  * in EXPERIMENTS.md. Times are medians of alternating runs, as in
+  * [[SparkOvcBench]], so one slow run cannot decide the timing gate.
   */
 class Fig3IntersectBench extends AnyFunSuite {
 
   test("Figure 3: sort-based plan spills less and runs at least as fast") {
-    val r = Fig3Harness.run(n = 1000000, memRows = 100000)
+    val r = Fig3Harness.run(n = 1000000, memRows = 100000, reps = 5)
     println()
     println(Fig3Harness.render(r))
     println()

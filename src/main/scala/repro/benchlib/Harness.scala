@@ -197,16 +197,25 @@ object Fig3Harness {
     }
   }
 
-  def run(n: Int, memRows: Int, arity: Int = 4, seed: Long = 42): Result = {
+  /** Runs both plans once, or with `reps > 1` a warm-up pair and then `reps`
+    * alternating pairs; each plan reports its run of median time.
+    */
+  def run(n: Int, memRows: Int, arity: Int = 4, seed: Long = 42, reps: Int = 1): Result = {
     val universe = 3L * n / 4
     val base = math.max(2L, math.ceil(math.pow(universe.toDouble, 1.0 / arity)).toLong)
     val t1 = makeInput(n, 0, n / 2, arity, base, seed)
     val t2 = makeInput(n, n / 4, universe, arity, base, seed + 1)
-    val sort = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, arity, memRows)
-    val hash = IntersectPlans.hashBased(() => t1.iterator, () => t2.iterator, arity, memRows)
-    require(sort.outputRows == hash.outputRows,
-            s"plans disagree: sort=${sort.outputRows} hash=${hash.outputRows}")
-    Result(n, memRows, sort, hash)
+    def pair(): (PlanMetrics, PlanMetrics) = {
+      val sort = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, arity, memRows)
+      val hash = IntersectPlans.hashBased(() => t1.iterator, () => t2.iterator, arity, memRows)
+      require(sort.outputRows == hash.outputRows,
+              s"plans disagree: sort=${sort.outputRows} hash=${hash.outputRows}")
+      (sort, hash)
+    }
+    if (reps > 1) pair()
+    val pairs = Vector.fill(reps)(pair())
+    def median(ms: Vector[PlanMetrics]): PlanMetrics = ms.sortBy(_.millis).apply(reps / 2)
+    Result(n, memRows, median(pairs.map(_._1)), median(pairs.map(_._2)))
   }
 
   def render(r: Result): String = {

@@ -70,6 +70,19 @@ object Ovc {
     pack(arity, offset, value)
   }
 
+  /** Rejects a key whose first `arity` columns do not all fit the value
+    * field, naming the first column that does not.
+    */
+  def requireKey(key: Array[Long], arity: Int): Unit = {
+    var i = 0
+    while (i < arity) {
+      if ((key(i) >>> ValueBits) != 0L)
+        throw new IllegalArgumentException(
+          s"key column $i = ${key(i)} is outside [0, 2^$ValueBits)")
+      i += 1
+    }
+  }
+
   def offsetOf(code: Long, arity: Int): Int = arity - (code >>> ValueBits).toInt
 
   def valueOf(code: Long): Long = code & ValueMask
@@ -136,20 +149,25 @@ final class OvcComparator(val arity: Int, val stats: OvcStats) {
     stats.rowComparisons += 1
     if (aCode < bCode) { loserCode = bCode; -1 }       // Iyer: b keeps its code
     else if (aCode > bCode) { loserCode = aCode; 1 }
-    else {
-      // Equal codes: keys agree with the base, and with each other, through
-      // the shared offset. Compare columns from offset+1 on.
-      var i = arity - (aCode >>> Ovc.ValueBits).toInt + 1
-      while (i < arity) {
-        stats.columnComparisons += 1
-        if (aKey(i) != bKey(i)) {
-          if (aKey(i) < bKey(i)) { loserCode = Ovc.pack(arity, i, bKey(i)); return -1 }
-          else { loserCode = Ovc.pack(arity, i, aKey(i)); return 1 }
-        }
-        i += 1
+    else compareColumns(aKey, bKey, aCode)
+  }
+
+  /** The equal-code case of [[compare]], for callers that have already
+    * counted the code comparison: both keys carry `code`, so they agree with
+    * the base, and with each other, through the shared offset. Compares
+    * columns from offset+1 on.
+    */
+  def compareColumns(aKey: Array[Long], bKey: Array[Long], code: Long): Int = {
+    var i = arity - (code >>> Ovc.ValueBits).toInt + 1
+    while (i < arity) {
+      stats.columnComparisons += 1
+      if (aKey(i) != bKey(i)) {
+        if (aKey(i) < bKey(i)) { loserCode = Ovc.pack(arity, i, bKey(i)); return -1 }
+        else { loserCode = Ovc.pack(arity, i, aKey(i)); return 1 }
       }
-      loserCode = 0L // equal keys: loser is a duplicate of the winner
-      0
+      i += 1
     }
+    loserCode = 0L // equal keys: loser is a duplicate of the winner
+    0
   }
 }

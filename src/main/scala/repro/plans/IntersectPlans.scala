@@ -37,11 +37,17 @@ object IntersectPlans {
     val stats = new OvcStats
     val spill = new SpillStats
     val t0 = System.nanoTime()
-    val d1 = ExternalSort.sort(t1(), arity, 0, memRows, stats, spill, dedup = true)
-    val d2 = ExternalSort.sort(t2(), arity, 0, memRows, stats, spill, dedup = true)
-    val joined = MergeJoinOp(d1, arity, d2, arity, arity, JoinType.LeftSemi, stats)
     var n = 0L
-    while (joined.hasNext) { joined.next(); n += 1 }
+    // The join stops pulling its right input when the left one ends; closing
+    // both sorts deletes the run files it leaves unread.
+    val d1 = ExternalSort.sort(t1(), arity, 0, memRows, stats, spill, dedup = true)
+    try {
+      val d2 = ExternalSort.sort(t2(), arity, 0, memRows, stats, spill, dedup = true)
+      try {
+        val joined = MergeJoinOp(d1, arity, d2, arity, arity, JoinType.LeftSemi, stats)
+        while (joined.hasNext) { joined.next(); n += 1 }
+      } finally d2.close()
+    } finally d1.close()
     val ms = (System.nanoTime() - t0) / 1e6
     PlanMetrics(n, ms, spill.rowsSpilled, spill.bytesSpilled, stats)
   }

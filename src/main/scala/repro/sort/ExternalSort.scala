@@ -1,6 +1,7 @@
 package repro.sort
 
-import java.nio.file.Path
+import java.io.Closeable
+import java.nio.file.{Files, Path}
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 
@@ -26,54 +27,96 @@ object ExternalSort {
     * @param memRows  rows that fit in "memory" — the run-generation chunk size
     * @param dedup    drop duplicate rows as early as possible (in-sort dedup)
     * @param fanIn    maximum merge fan-in before an extra merge level is added
+    * @param tmpDir   directory for the run files; by default the sort makes,
+    *                 and finally deletes, a temporary directory of its own
     */
   def sort(input: Iterator[ERow], arity: Int, payloadArity: Int, memRows: Int,
            stats: OvcStats, spill: SpillStats, dedup: Boolean = false,
-           fanIn: Int = DefaultFanIn, tmpDir: Path = null): Iterator[CodedRow] = {
+           fanIn: Int = DefaultFanIn, tmpDir: Path = null): SortedStream = {
     require(memRows > 0, "memRows must be positive")
-    val chunks = input.grouped(memRows)
-    if (!chunks.hasNext) return Iterator.empty
-
-    val first = chunks.next()
-    if (!chunks.hasNext) return genRun(first, arity, stats, dedup) // fits in memory: no spill
-
-    val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("ovc-sort")
-    var runs = Vector(RunFile.write(dir, arity, payloadArity, genRun(first, arity, stats, dedup), spill))
-    while (chunks.hasNext)
-      runs :+= RunFile.write(dir, arity, payloadArity, genRun(chunks.next(), arity, stats, dedup), spill)
-
-    // Intermediate merge levels only when the run count exceeds the fan-in.
-    while (runs.size > fanIn) {
-      spill.mergeLevels += 1
-      runs = runs
-        .grouped(fanIn)
-        .map { g =>
-          val merged = dedupFilter(
-            new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats),
-            dedup)
-          RunFile.write(dir, arity, payloadArity, merged, spill)
-        }
-        .toVector
+    // One chunk buffer for all runs, grown up to memRows as rows arrive.
+    var chunk = new Array[ERow](math.min(memRows, 1024))
+    def fill(): Int = {
+      var n = 0
+      while (n < memRows && input.hasNext) {
+        if (n == chunk.length) chunk = java.util.Arrays.copyOf(chunk, math.min(memRows, 2 * n))
+        chunk(n) = input.next()
+        n += 1
+      }
+      n
     }
 
-    dedupFilter(
-      new LoserTree(runs.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats),
-      dedup)
+    var n = fill()
+    if (n == 0) return new SortedStream(Iterator.empty, Nil, null)
+    if (!input.hasNext) // fits in memory: no spill
+      return new SortedStream(genRun(chunk, n, arity, stats, dedup), Nil, null)
+
+    val ownDir = if (tmpDir == null) RunFile.newTempDir("ovc-sort") else null
+    val dir = if (tmpDir != null) tmpDir else ownDir
+    var runs = Vector.empty[Path]
+    try {
+      while (n > 0) {
+        runs :+= RunFile.write(dir, arity, payloadArity, genRun(chunk, n, arity, stats, dedup), spill)
+        n = fill()
+      }
+
+      // Intermediate merge levels only when the run count exceeds the fan-in.
+      while (runs.size > fanIn) {
+        spill.mergeLevels += 1
+        runs = runs
+          .grouped(fanIn)
+          .map { g =>
+            val merged = dedupFilter(
+              new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats),
+              dedup)
+            RunFile.write(dir, arity, payloadArity, merged, spill)
+          }
+          .toVector
+      }
+
+      val readers = runs.map(p => RunFile.reader(p, arity, payloadArity))
+      new SortedStream(dedupFilter(new LoserTree(readers, arity, stats), dedup), readers, ownDir)
+    } catch {
+      case t: Throwable =>
+        if (ownDir != null) deleteDir(ownDir) else runs.foreach(p => Files.deleteIfExists(p))
+        throw t
+    }
   }
 
-  /** Run generation: merge `chunk.size` single-row runs with a loser tree.
-    * Every input row enters coded relative to "-inf" (offset 0); the tree's
-    * output is a sorted run with a valid OVC chain.
+  /** Run generation: merge the `n` single-row runs of `chunk` with a loser
+    * tree. Every input row enters coded relative to "-inf" (offset 0); the
+    * tree's output is a sorted run with a valid OVC chain.
     */
-  private def genRun(chunk: Seq[ERow], arity: Int, stats: OvcStats,
-                     dedup: Boolean): Iterator[CodedRow] = {
-    if (chunk.isEmpty) return Iterator.empty
-    val singles = chunk.iterator.map { r =>
-      Iterator.single(CodedRow(r.key, Ovc.initial(r.key), r.payload))
-    }.toIndexedSeq
-    dedupFilter(new LoserTree(singles, arity, stats), dedup)
-  }
+  private def genRun(chunk: Array[ERow], n: Int, arity: Int, stats: OvcStats,
+                     dedup: Boolean): Iterator[CodedRow] =
+    dedupFilter(LoserTree.ofRows(chunk, n, arity, stats), dedup)
 
   private def dedupFilter(it: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
     if (dedup) it.filterNot(r => Ovc.isDup(r.code)) else it
+
+  private[sort] def deleteDir(dir: Path): Unit = {
+    val files = Files.list(dir)
+    try files.forEach(p => Files.deleteIfExists(p)) finally files.close()
+    Files.deleteIfExists(dir)
+  }
+}
+
+/** The sorted, coded output of [[ExternalSort.sort]]. Closing it closes its
+  * run readers and deletes the sort's run files and, if the sort made one,
+  * its temporary directory; draining it does the same. A consumer that may
+  * stop early, such as a merge join, should close it.
+  */
+final class SortedStream private[sort] (rows: Iterator[CodedRow], readers: Seq[RunFile.Reader],
+                                        ownDir: Path) extends Iterator[CodedRow] with Closeable {
+  private[this] var closed = false
+
+  override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
+  override def next(): CodedRow = rows.next()
+
+  override def close(): Unit =
+    if (!closed) {
+      closed = true
+      readers.foreach(_.close())
+      if (ownDir != null) ExternalSort.deleteDir(ownDir)
+    }
 }

@@ -1,7 +1,9 @@
 package repro.sort
 
-import java.io.{BufferedInputStream, BufferedOutputStream, DataInputStream, DataOutputStream, FileInputStream, FileOutputStream}
-import java.nio.file.{Files, Path}
+import java.io.{Closeable, EOFException}
+import java.nio.ByteBuffer
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, StandardOpenOption}
 
 import repro.core.CodedRow
 
@@ -26,10 +28,16 @@ final class SpillStats {
 }
 
 /** Sorted runs spilled to real local files (fixed-arity key, fixed-arity
-  * payload, packed OVC per row). Each row is prefixed with a marker byte so
-  * readers detect end-of-run without a length header.
+  * payload, packed OVC per row). Each row is a marker byte 1 followed by the
+  * key, the code and the payload as big-endian longs; a trailing 0 byte ends
+  * the run, so readers detect its end without a length header. Writers and
+  * readers move whole 64 KiB buffers through a `FileChannel`.
   */
 object RunFile {
+
+  private val BufferBytes: Int = 1 << 16
+
+  private def rowBytes(arity: Int, payloadArity: Int): Int = 1 + 8 * (arity + 1 + payloadArity)
 
   def newTempDir(prefix: String): Path = {
     val d = Files.createTempDirectory(prefix)
@@ -42,59 +50,90 @@ object RunFile {
             rows: Iterator[CodedRow], spill: SpillStats): Path = {
     val path = Files.createTempFile(dir, "run", ".bin")
     path.toFile.deleteOnExit()
-    val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(path.toFile), 1 << 16))
+    val rowSize = rowBytes(arity, payloadArity)
+    val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize))
+    val ch = FileChannel.open(path, StandardOpenOption.WRITE)
     var n = 0L
     try {
       while (rows.hasNext) {
         val r = rows.next()
-        out.writeByte(1)
+        if (buf.remaining < rowSize) flush(ch, buf)
+        buf.put(1: Byte)
         var i = 0
-        while (i < arity) { out.writeLong(r.key(i)); i += 1 }
-        out.writeLong(r.code)
+        while (i < arity) { buf.putLong(r.key(i)); i += 1 }
+        buf.putLong(r.code)
         i = 0
-        while (i < payloadArity) { out.writeLong(r.payload(i)); i += 1 }
+        while (i < payloadArity) { buf.putLong(r.payload(i)); i += 1 }
         n += 1
       }
-      out.writeByte(0)
-    } finally out.close()
+      if (!buf.hasRemaining) flush(ch, buf)
+      buf.put(0: Byte)
+      flush(ch, buf)
+    } finally ch.close()
     spill.rowsSpilled += n
     spill.runsWritten += 1
-    spill.bytesSpilled += Files.size(path)
+    spill.bytesSpilled += 1 + n * rowSize
     path
   }
 
-  /** Stream a run back; the file is deleted once fully consumed. */
-  def reader(path: Path, arity: Int, payloadArity: Int): Iterator[CodedRow] =
-    new Iterator[CodedRow] {
-      private[this] val in =
-        new DataInputStream(new BufferedInputStream(new FileInputStream(path.toFile), 1 << 16))
-      private[this] var done = false
-      private[this] var pending: CodedRow = null
+  private def flush(ch: FileChannel, buf: ByteBuffer): Unit = {
+    buf.flip()
+    while (buf.hasRemaining) ch.write(buf)
+    buf.clear()
+  }
 
-      private def load(): Unit =
-        if (!done && pending == null) {
-          if (in.readByte() == 0) {
-            done = true
-            in.close()
-            Files.deleteIfExists(path)
-          } else {
-            val key = new Array[Long](arity)
-            var i = 0
-            while (i < arity) { key(i) = in.readLong(); i += 1 }
-            val code = in.readLong()
-            val pay = if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
-            i = 0
-            while (i < payloadArity) { pay(i) = in.readLong(); i += 1 }
-            pending = CodedRow(key, code, pay)
-          }
-        }
+  /** Stream a run back; the file is deleted once fully consumed or closed. */
+  def reader(path: Path, arity: Int, payloadArity: Int): Reader = new Reader(path, arity, payloadArity)
 
-      override def hasNext: Boolean = { load(); pending != null }
-      override def next(): CodedRow = {
-        load()
-        val r = pending; pending = null
-        if (r == null) throw new NoSuchElementException("run exhausted")
-        r
+  final class Reader private[RunFile] (path: Path, arity: Int, payloadArity: Int)
+      extends Iterator[CodedRow] with Closeable {
+    private[this] val rowSize = rowBytes(arity, payloadArity)
+    private[this] val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize)).flip()
+    private[this] val ch = FileChannel.open(path, StandardOpenOption.READ)
+    private[this] var closed = false
+    private[this] var pending: CodedRow = null
+
+    /** Makes at least `n` bytes readable. */
+    private def fill(n: Int): Unit =
+      if (buf.remaining < n) {
+        buf.compact()
+        while (buf.position() < n)
+          if (ch.read(buf) < 0) throw new EOFException(s"run file $path ends inside a row")
+        buf.flip()
       }
+
+    private def load(): Unit =
+      if (!closed && pending == null) {
+        fill(1)
+        if (buf.get() == 0) close()
+        else {
+          fill(rowSize - 1)
+          val key = new Array[Long](arity)
+          var i = 0
+          while (i < arity) { key(i) = buf.getLong(); i += 1 }
+          val code = buf.getLong()
+          val pay = if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
+          i = 0
+          while (i < payloadArity) { pay(i) = buf.getLong(); i += 1 }
+          pending = CodedRow(key, code, pay)
+        }
+      }
+
+    override def hasNext: Boolean = { load(); pending != null }
+    override def next(): CodedRow = {
+      load()
+      val r = pending; pending = null
+      if (r == null) throw new NoSuchElementException("run exhausted")
+      r
     }
+
+    /** Closes the file and deletes it; later calls do nothing. */
+    override def close(): Unit =
+      if (!closed) {
+        closed = true
+        pending = null
+        ch.close()
+        Files.deleteIfExists(path)
+      }
+  }
 }

@@ -1,5 +1,9 @@
 package repro.plans
 
+import java.nio.file.{Files, Paths}
+
+import scala.jdk.CollectionConverters._
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.benchlib.Fig3Harness
@@ -55,5 +59,21 @@ class IntersectPlansSpec extends AnyFunSuite {
     // distinct ids lie in the shared range.
     assert(r.sort.outputRows > 1000, s"intersection too small: ${r.sort.outputRows}")
     assert(r.sort.outputRows < 10000, s"intersection too large: ${r.sort.outputRows}")
+  }
+
+  test("the sort plan deletes its spill directories, even for an input the join leaves unread") {
+    def sortDirs(): Set[String] = {
+      val s = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))
+      try s.iterator().asScala.map(_.getFileName.toString).filter(_.startsWith("ovc-sort")).toSet
+      finally s.close()
+    }
+    // Left keys end below the right ones, so the merge join stops pulling
+    // its right input early.
+    val t1 = DataGen.randomRows(3000, 3, 4, seed = 21)
+    val t2 = DataGen.randomRows(3000, 3, 8, seed = 22)
+    val before = sortDirs()
+    val sort = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, 3, memRows = 500)
+    assert(sort.spilledRows > 0)
+    assert(sortDirs() -- before == Set.empty)
   }
 }

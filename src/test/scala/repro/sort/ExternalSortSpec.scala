@@ -1,5 +1,9 @@
 package repro.sort
 
+import java.nio.file.{Files, Path}
+
+import scala.jdk.CollectionConverters._
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
@@ -105,5 +109,75 @@ class ExternalSortSpec extends AnyFunSuite {
     val (out, _, _) = run(Array(ERow(Array(7L, 8L))), 2, 100)
     assert(out.map(_.key.toVector) == Vector(Vector(7L, 8L)))
     assert(out.head.code == Ovc.initial(Array(7L, 8L)))
+  }
+
+  // Exact counts of the loser-tree implementation these tests were first
+  // written against. A change of tree layout or run codec must not add,
+  // drop or reorder a comparison, nor change what is spilled.
+  private val pinned = Seq(
+    // (name, rows, arity, payloadArity, memRows, dedup, fanIn,
+    //  code/column/row compares, spilled rows/runs/bytes, merge levels)
+    ("one merge level", DataGen.randomRows(20000, 3, 8, seed = 31), 3, 0, 1000, false,
+     ExternalSort.DefaultFanIn, (266290L, 39928L, 266290L), (20000L, 20L, 660020L, 0)),
+    ("one merge level, dedup", DataGen.randomRows(20000, 3, 8, seed = 31), 3, 0, 1000, true,
+     ExternalSort.DefaultFanIn, (214436L, 39928L, 214436L), (8715L, 20L, 287615L, 0)),
+    ("fanIn 4", DataGen.randomRows(5000, 2, 30, seed = 32, payloadArity = 1), 2, 1, 100, false,
+     4, (57180L, 4970L, 57180L), (15000L, 67L, 495067L, 2)),
+    ("fanIn 4, dedup", DataGen.randomRows(5000, 2, 30, seed = 32, payloadArity = 1), 2, 1, 100, true,
+     4, (49702L, 4970L, 49702L), (11223L, 67L, 370426L, 2)),
+  )
+
+  for ((name, rows, arity, payloadArity, memRows, dedup, fanIn, cmps, spilled) <- pinned) {
+    test(s"pinned comparison and spill counts: $name") {
+      val (out, stats, spill) = run(rows, arity, memRows, dedup, fanIn, payloadArity)
+      OvcInvariants.verifyChain(out, arity)
+      assert((stats.codeComparisons, stats.columnComparisons, stats.rowComparisons) == cmps)
+      assert(stats.hashColumnAccesses == 0)
+      assert((spill.rowsSpilled, spill.runsWritten, spill.bytesSpilled, spill.mergeLevels) == spilled)
+    }
+  }
+
+  private def runFiles(dir: Path): Seq[Path] = {
+    val s = Files.list(dir)
+    try s.iterator().asScala.filter(_.getFileName.toString.matches("run.*\\.bin")).toVector
+    finally s.close()
+  }
+
+  test("closing an abandoned sorted stream deletes its run files") {
+    val dir = Files.createTempDirectory("sort-spec")
+    val rows = DataGen.randomRows(5000, 2, 30, seed = 8)
+    val sorted = ExternalSort.sort(rows.iterator, 2, 0, 500, new OvcStats, new SpillStats, tmpDir = dir)
+    assert(runFiles(dir).size == 10)
+    sorted.take(3).foreach(_ => ())
+    sorted.close()
+    assert(runFiles(dir).isEmpty)
+    assert(!sorted.hasNext)
+    Files.delete(dir)
+  }
+
+  test("a drained sorted stream leaves no run files behind") {
+    val dir = Files.createTempDirectory("sort-spec")
+    val rows = DataGen.randomRows(2000, 2, 40, seed = 3)
+    val sorted = ExternalSort.sort(rows.iterator, 2, 0, 100, new OvcStats, new SpillStats,
+                                   fanIn = 4, tmpDir = dir)
+    assert(sorted.size == 2000)
+    assert(runFiles(dir).isEmpty)
+    Files.delete(dir)
+  }
+
+  test("a negative key is rejected, naming the column, and leaves no run files") {
+    val bad = DataGen.randomRows(3000, 3, 10, seed = 9)
+    bad(2500) = ERow(Array(4L, -1L, 2L))
+    val inMemory = intercept[IllegalArgumentException] {
+      ExternalSort.sort(bad.iterator, 3, 0, 10000, new OvcStats, new SpillStats)
+    }
+    assert(inMemory.getMessage.contains("column 1"), inMemory.getMessage)
+    val dir = Files.createTempDirectory("sort-spec")
+    val spilled = intercept[IllegalArgumentException] {
+      ExternalSort.sort(bad.iterator, 3, 0, 1000, new OvcStats, new SpillStats, tmpDir = dir)
+    }
+    assert(spilled.getMessage.contains("column 1"), spilled.getMessage)
+    assert(runFiles(dir).isEmpty)
+    Files.delete(dir)
   }
 }

@@ -90,4 +90,16 @@ class LoserTreeSpec extends AnyFunSuite {
     assert(out.map(_.payload.toVector) == expected.map(_.payload.toVector))
     OvcInvariants.verifyChain(out, 3)
   }
+
+  test("a row-array tree makes the same comparisons as single-row input runs") {
+    val rows = DataGen.randomRows(3000, 3, 4, seed = 18, payloadArity = 1)
+    val viaRuns = new OvcStats
+    val singles = rows.map(r => Iterator.single(CodedRow(r.key, Ovc.initial(r.key), r.payload))).toIndexedSeq
+    val expected = new LoserTree(singles, 3, viaRuns).toVector
+    val viaRows = new OvcStats
+    val out = LoserTree.ofRows(rows, rows.length, 3, viaRows).toVector
+    assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+           expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+    assert(viaRows.toString == viaRuns.toString)
+  }
 }

@@ -1,0 +1,73 @@
+package repro.sort
+
+import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.nio.file.{Files, Path}
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.core.{CodedRow, DataGen}
+
+/** The run-file codec: byte format, buffer edges, and file cleanup. */
+class RunFileSpec extends AnyFunSuite {
+
+  private def rows(n: Int, arity: Int, payloadArity: Int, seed: Long): Vector[CodedRow] =
+    DataGen.refSortCoded(DataGen.randomRows(n, arity, 1000, seed, payloadArity).toIndexedSeq)
+
+  /** The format spelled out with `DataOutputStream`: a marker byte 1, then
+    * key, code and payload as big-endian longs per row, and a trailing 0.
+    */
+  private def expectedBytes(rs: Seq[CodedRow]): Array[Byte] = {
+    val bytes = new ByteArrayOutputStream()
+    val out = new DataOutputStream(bytes)
+    rs.foreach { r =>
+      out.writeByte(1)
+      r.key.foreach(out.writeLong)
+      out.writeLong(r.code)
+      r.payload.foreach(out.writeLong)
+    }
+    out.writeByte(0)
+    out.close()
+    bytes.toByteArray
+  }
+
+  private def roundTrip(n: Int, arity: Int, payloadArity: Int): Unit = {
+    val dir = Files.createTempDirectory("runfile-spec")
+    val in = rows(n, arity, payloadArity, seed = n)
+    val spill = new SpillStats
+    val path = RunFile.write(dir, arity, payloadArity, in.iterator, spill)
+    val size = 1L + n.toLong * (1 + 8 * (arity + 1 + payloadArity))
+    assert(Files.size(path) == size)
+    assert(spill.bytesSpilled == size && spill.rowsSpilled == n && spill.runsWritten == 1)
+    assert(Files.readAllBytes(path).sameElements(expectedBytes(in)))
+    val back = RunFile.reader(path, arity, payloadArity).toVector
+    assert(back.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+           in.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+    assert(!Files.exists(path), "a drained reader deletes its file")
+    Files.delete(dir)
+  }
+
+  // 41 B and 49 B rows: 5000 of them cross several 64 KiB buffer edges
+  // mid-row, and the trailing 0 lands at an arbitrary buffer position.
+  for (payloadArity <- Seq(0, 1); n <- Seq(0, 1, 5000)) {
+    test(s"round trip of $n rows, arity 4, payload $payloadArity") {
+      roundTrip(n, 4, payloadArity)
+    }
+  }
+
+  test("the end marker is the last byte of a full buffer") {
+    // 3855 rows of 17 B (arity 1) and the end marker make exactly 64 KiB.
+    roundTrip(3855, 1, 0)
+  }
+
+  test("closing a partly read run deletes its file") {
+    val dir = Files.createTempDirectory("runfile-spec")
+    val path: Path = RunFile.write(dir, 4, 1, rows(5000, 4, 1, seed = 3).iterator, new SpillStats)
+    val reader = RunFile.reader(path, 4, 1)
+    assert(reader.take(10).size == 10)
+    reader.close()
+    assert(!Files.exists(path))
+    assert(!reader.hasNext)
+    reader.close()
+    Files.delete(dir)
+  }
+}
