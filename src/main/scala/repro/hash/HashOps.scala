@@ -25,15 +25,50 @@ final class LongsKey(val xs: Array[Long]) {
   }
 }
 
-/** Level-salted spill-partition selection: recursion levels must not reuse
-  * the parent's partitioning function, or an oversized partition would map
-  * back into a single bucket and never shrink.
+/** Spill partitions of one grace-hash level. Rows go to one of
+  * [[SpillWriter.Partitions]] partitions by a level-salted hash of their key:
+  * recursion levels must not reuse the parent's partitioning function, or an
+  * oversized partition would map back into a single bucket and never shrink.
+  * Each partition buffers rows in batches and writes them through [[RunFile]]
+  * as code-0 rows with a one-column payload (the row's first payload column,
+  * or `emptyPayload`), so spill accounting and file I/O are real.
   */
-private[hash] object SpillPart {
-  def apply(h: Int, level: Int, nParts: Int): Int = {
+private[hash] final class SpillWriter(dir: Path, arity: Int, level: Int, spill: SpillStats,
+                                      emptyPayload: Long) {
+  import SpillWriter._
+
+  private[this] val batches = Array.fill(Partitions)(new mutable.ArrayBuffer[ERow]())
+  private[this] val files = Array.fill(Partitions)(mutable.ArrayBuffer.empty[Path])
+
+  /** Buffers `r`, whose key hashes to `h`, in its partition. */
+  def add(r: ERow, h: Int): Unit = {
     val mixed = Integer.rotateRight(h * 0x9e3779b9 + level * 0x85ebca77, level * 5 + 1)
-    (mixed >>> 1) % nParts
+    val p = (mixed >>> 1) % Partitions
+    batches(p) += r
+    if (batches(p).size >= BatchRows) flush(p)
   }
+
+  private def flush(p: Int): Unit =
+    if (batches(p).nonEmpty) {
+      files(p) += RunFile.write(dir, arity, 1, batches(p).iterator.map(r =>
+        CodedRow(r.key, 0L, Array(if (r.payload.isEmpty) emptyPayload else r.payload(0)))), spill)
+      batches(p).clear()
+    }
+
+  /** Flushes every partition and returns each one's files, in partition order. */
+  def finish(): Array[Vector[Path]] = {
+    (0 until Partitions).foreach(flush)
+    files.map(_.toVector)
+  }
+}
+
+private[hash] object SpillWriter {
+  val Partitions: Int = 16
+  val BatchRows: Int = 65536
+
+  /** Reads one partition's files back as rows with their one-column payload. */
+  def read(files: Vector[Path], arity: Int): Iterator[ERow] =
+    files.iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
 }
 
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table
@@ -42,11 +77,9 @@ private[hash] object SpillPart {
   */
 object HashAgg {
 
-  val SpillPartitions: Int = 16
-
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
-    * unseen groups spill to one of [[SpillPartitions]] files, processed
+    * unseen groups spill to one of the [[SpillWriter]] partitions, processed
     * recursively after the input drains.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
@@ -55,17 +88,7 @@ object HashAgg {
     require(memGroups > 0)
     val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-agg")
     val map = new mutable.HashMap[LongsKey, Array[Long]]()
-
-    // Buffer spill rows per partition in small batches, flushing through
-    // RunFile so spill accounting and file I/O are real.
-    val batches = Array.fill(SpillPartitions)(new mutable.ArrayBuffer[ERow]())
-    val files = Array.fill(SpillPartitions)(mutable.ArrayBuffer.empty[Path])
-    def flush(p: Int): Unit =
-      if (batches(p).nonEmpty) {
-        files(p) += RunFile.write(dir, arity, 1,
-          batches(p).iterator.map(r => CodedRow(r.key, 0L, Array(weight(r)))), spill)
-        batches(p).clear()
-      }
+    val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 1L)
 
     def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
 
@@ -76,35 +99,15 @@ object HashAgg {
         case Some(cell) => cell(0) += weight(r)
         case None =>
           if (map.size < memGroups) map.put(k, Array(weight(r)))
-          else {
-            val p = SpillPart(k.hashCode, level, SpillPartitions)
-            batches(p) += r
-            if (batches(p).size >= 65536) flush(p)
-          }
+          else spilled.add(r, k.hashCode)
       }
     }
 
-    val inMemory = map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }
-    var result = inMemory
-    var p = 0
-    while (p < SpillPartitions) {
-      flush(p)
-      val partFiles = files(p).toVector
-      if (partFiles.nonEmpty) {
-        // Lazily recurse into each spilled partition once reached.
-        result = result ++ new Iterator[ERow] {
-          private lazy val inner: Iterator[ERow] = {
-            val rows = partFiles.iterator.flatMap(f =>
-              RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-            groupCount(rows, arity, memGroups, spill, stats, dir, level + 1)
-          }
-          override def hasNext: Boolean = inner.hasNext
-          override def next(): ERow = inner.next()
-        }
-      }
-      p += 1
+    // Each spilled partition is read back, and recursed into, once reached.
+    spilled.finish().filter(_.nonEmpty).foldLeft(
+      map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }) { (result, files) =>
+      result ++ groupCount(SpillWriter.read(files, arity), arity, memGroups, spill, stats, dir, level + 1)
     }
-    result
   }
 }
 
@@ -114,8 +117,6 @@ object HashAgg {
   * once) and the partitions are joined recursively.
   */
 object HashJoin {
-
-  val SpillPartitions: Int = 16
 
   /** Emit each probe row whose key occurs in the build input (both sides are
     * assumed distinct on the full key, as after duplicate removal).
@@ -142,33 +143,20 @@ object HashJoin {
       }
     } else {
       def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
-        val batches = Array.fill(SpillPartitions)(new mutable.ArrayBuffer[ERow]())
-        val files = Array.fill(SpillPartitions)(mutable.ArrayBuffer.empty[Path])
-        def flush(p: Int): Unit =
-          if (batches(p).nonEmpty) {
-            files(p) += RunFile.write(dir, arity, 1,
-              batches(p).iterator.map(r =>
-                CodedRow(r.key, 0L, if (r.payload.isEmpty) Array(0L) else Array(r.payload(0)))),
-              spill)
-            batches(p).clear()
-          }
+        val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 0L)
         rows.foreach { r =>
           stats.hashColumnAccesses += arity
-          val p = SpillPart(new LongsKey(r.key).hashCode, level, SpillPartitions)
-          batches(p) += r
-          if (batches(p).size >= 65536) flush(p)
+          spilled.add(r, new LongsKey(r.key).hashCode)
         }
-        (0 until SpillPartitions).foreach(flush)
-        files.map(_.toVector)
+        spilled.finish()
       }
 
       val buildParts = partition(inMem.iterator ++ build)
       val probeParts = partition(probe)
 
-      (0 until SpillPartitions).iterator.flatMap { p =>
-        val b = buildParts(p).iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-        val q = probeParts(p).iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
-        semiJoin(b, q, arity, memRows, spill, stats, dir, level + 1)
+      buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
+        semiJoin(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
+                 dir, level + 1)
       }
     }
   }

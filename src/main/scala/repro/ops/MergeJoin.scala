@@ -30,15 +30,9 @@ object JoinType {
   * column access at all — this is how codes carried from in-sort aggregation
   * "speed up row comparisons in the merge join" (§6).
   *
-  * '''Output coding.''' The output is ordered and keyed on the left key.
-  * Left rows dropped by the join fold their codes into the next output row
-  * (max rule, §4.1); extra outputs of one left row (multiple right matches)
-  * carry the duplicate code. No additional column comparisons are performed
-  * for output codes.
-  *
-  * For [[JoinType.Inner]]/[[JoinType.LeftOuter]] the output payload is
-  * `left.payload ++ right.key.drop(joinLen) ++ right.payload`; outer-join
-  * null extensions use `nullSentinel`.
+  * '''Output coding.''' By the rules of [[JoinOutput]], with no further
+  * column comparisons. A match's suffix is `right.key.drop(joinLen)`; an
+  * outer join's null extension covers that suffix and the right payload.
   */
 object MergeJoinOp {
 
@@ -57,11 +51,10 @@ object MergeJoinOp {
       left: Iterator[CodedRow], leftArity: Int,
       right: Iterator[CodedRow], rightArity: Int,
       joinLen: Int, jt: JoinType, stats: OvcStats,
-      rightPayloadArity: Int, nullSentinel: Long) extends Iterator[CodedRow] {
+      rightPayloadArity: Int, nullSentinel: Long)
+      extends JoinOutput(jt, rightArity - joinLen + rightPayloadArity, nullSentinel) {
 
     private[this] val cmp = new OvcComparator(joinLen, stats)
-    private[this] val out = mutable.Queue.empty[CodedRow]
-    private[this] var pending = 0L // max-fold of dropped left rows' codes
 
     private[this] var lRow: CodedRow = null
     private[this] var lCap: Long = Ovc.LateFence
@@ -78,38 +71,6 @@ object MergeJoinOp {
       if (right.hasNext) { rRow = right.next(); rCap = ProjectOp.capCode(rRow.code, rightArity, joinLen) }
       else { rRow = null; rCap = Ovc.LateFence }
 
-    /** Code of the next emitted left row: own code folded with dropped rows'. */
-    private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
-
-    private def joinedPayload(l: CodedRow, rSuffix: Array[Long], rPay: Array[Long]): Array[Long] = {
-      val p = new Array[Long](l.payload.length + rSuffix.length + rPay.length)
-      System.arraycopy(l.payload, 0, p, 0, l.payload.length)
-      System.arraycopy(rSuffix, 0, p, l.payload.length, rSuffix.length)
-      System.arraycopy(rPay, 0, p, l.payload.length + rSuffix.length, rPay.length)
-      p
-    }
-
-    private def leftWithoutMatch(l: CodedRow): Unit = jt match {
-      case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
-      case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
-      case JoinType.LeftOuter =>
-        val nulls = Array.fill((rightArity - joinLen) + rightPayloadArity)(nullSentinel)
-        out += CodedRow(l.key, fold(l), joinedPayload(l, nulls, Array.emptyLongArray))
-    }
-
-    private def leftWithMatches(l: CodedRow, group: mutable.ArrayBuffer[(Array[Long], Array[Long])]): Unit =
-      jt match {
-        case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
-        case JoinType.LeftAnti => pending = math.max(pending, l.code)
-        case JoinType.Inner | JoinType.LeftOuter =>
-          var first = true
-          group.foreach { case (suffix, pay) =>
-            val code = if (first) fold(l) else 0L // duplicate left key in the output
-            first = false
-            out += CodedRow(l.key, code, joinedPayload(l, suffix, pay))
-          }
-      }
-
     private def processMatch(): Unit = {
       // Collect the right-side group: successors whose capped code is the
       // duplicate code share the join key — a single integer test, no columns.
@@ -123,30 +84,80 @@ object MergeJoinOp {
       }
       // Emit for every left row of the matching group, likewise detected by a
       // duplicate capped code.
-      leftWithMatches(lRow, group)
+      matched(lRow, group)
       advL()
       more = lRow != null
       while (more) {
         stats.codeComparisons += 1
-        if (Ovc.isDup(lCap)) { leftWithMatches(lRow, group); advL(); more = lRow != null }
+        if (Ovc.isDup(lCap)) { matched(lRow, group); advL(); more = lRow != null }
         else more = false
       }
     }
 
-    private def fill(): Unit =
+    protected def fill(): Unit =
       while (out.isEmpty && lRow != null) {
-        if (rRow == null) { leftWithoutMatch(lRow); advL() }
+        if (rRow == null) { unmatched(lRow); advL() }
         else {
           val c = cmp.compare(lRow.key, lCap, rRow.key, rCap)
-          if (c < 0) { rCap = cmp.loserCode; leftWithoutMatch(lRow); advL() }
+          if (c < 0) { rCap = cmp.loserCode; unmatched(lRow); advL() }
           else if (c > 0) { lCap = cmp.loserCode; advR() }
           else processMatch()
         }
       }
-
-    override def hasNext: Boolean = { fill(); out.nonEmpty }
-    override def next(): CodedRow = { fill(); out.dequeue() }
   }
+}
+
+/** Output coding shared by [[MergeJoinOp]] and [[LookupJoinOp]] (§4.7, §4.8).
+  * The output is ordered and keyed on the left (outer) key. Left rows dropped
+  * by the join fold their codes into the next output row (max rule, §4.1);
+  * extra outputs of one left row (multiple matches) carry the duplicate code.
+  * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
+  * an outer join extends an unmatched left row by `nulls` copies of
+  * `nullSentinel`. Subclasses queue output in `fill` through [[unmatched]]
+  * and [[matched]].
+  */
+private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: Long)
+    extends Iterator[CodedRow] {
+
+  protected[this] val out = mutable.Queue.empty[CodedRow]
+  private[this] var pending = 0L // max-fold of dropped left rows' codes
+
+  /** Queues output until `out` is non-empty or the input ends. */
+  protected def fill(): Unit
+
+  /** Code of the next emitted left row: own code folded with dropped rows'. */
+  private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
+
+  protected def unmatched(l: CodedRow): Unit = jt match {
+    case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
+    case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
+    case JoinType.LeftOuter =>
+      val p = java.util.Arrays.copyOf(l.payload, l.payload.length + nulls)
+      java.util.Arrays.fill(p, l.payload.length, p.length, nullSentinel)
+      out += CodedRow(l.key, fold(l), p)
+  }
+
+  protected def matched(l: CodedRow, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
+    jt match {
+      case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
+      case JoinType.LeftAnti => pending = math.max(pending, l.code)
+      case JoinType.Inner | JoinType.LeftOuter =>
+        var code = fold(l)
+        var i = 0
+        while (i < group.length) {
+          val suffix = group(i)._1
+          val pay = group(i)._2
+          val p = java.util.Arrays.copyOf(l.payload, l.payload.length + suffix.length + pay.length)
+          System.arraycopy(suffix, 0, p, l.payload.length, suffix.length)
+          System.arraycopy(pay, 0, p, l.payload.length + suffix.length, pay.length)
+          out += CodedRow(l.key, code, p)
+          code = 0L // duplicate left key in the output
+          i += 1
+        }
+    }
+
+  override def hasNext: Boolean = { fill(); out.nonEmpty }
+  override def next(): CodedRow = { fill(); out.dequeue() }
 }
 
 /** Order-preserving nested-loops (lookup) join (paper §4.8): the outer input
@@ -166,33 +177,10 @@ object LookupJoinOp {
             nullSentinelArity: Int = 0,
             nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= outerArity)
-    new Iterator[CodedRow] {
-      private[this] val out = mutable.Queue.empty[CodedRow]
-      private[this] var pending = 0L
+    new JoinOutput(jt, nullSentinelArity, nullSentinel) {
       private[this] var cached: IndexedSeq[(Array[Long], Array[Long])] = null
 
-      private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
-
-      private def emit(l: CodedRow, group: IndexedSeq[(Array[Long], Array[Long])]): Unit =
-        if (group.isEmpty) jt match {
-          case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
-          case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
-          case JoinType.LeftOuter =>
-            out += CodedRow(l.key, fold(l),
-                            l.payload ++ Array.fill(nullSentinelArity)(nullSentinel))
-        } else jt match {
-          case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
-          case JoinType.LeftAnti => pending = math.max(pending, l.code)
-          case JoinType.Inner | JoinType.LeftOuter =>
-            var first = true
-            group.foreach { case (suffix, pay) =>
-              val code = if (first) fold(l) else 0L
-              first = false
-              out += CodedRow(l.key, code, l.payload ++ suffix ++ pay)
-            }
-        }
-
-      private def fill(): Unit =
+      protected def fill(): Unit =
         while (out.isEmpty && outer.hasNext) {
           val l = outer.next()
           stats.codeComparisons += 1
@@ -201,11 +189,8 @@ object LookupJoinOp {
             lookupStats.calls += 1
             cached = lookup(l.key.take(joinLen))
           }
-          emit(l, cached)
+          if (cached.isEmpty) unmatched(l) else matched(l, cached)
         }
-
-      override def hasNext: Boolean = { fill(); out.nonEmpty }
-      override def next(): CodedRow = { fill(); out.dequeue() }
     }
   }
 }

@@ -1,116 +1,76 @@
 package repro.sort
 
-import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
+import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 
-/** Run generation by replacement selection with a tree-of-losers priority
-  * queue and offset-value coding (paper §3): each queue entry carries a run
-  * number and an offset-value code; comparisons decide by run number first
-  * (the "indicator field" folded next to the code) and by code otherwise.
-  * One extra comparison per input row — against the row just emitted, which
-  * also *produces* the incoming row's code when it joins the current run —
-  * doubles the expected run length to 2M for random input, and a single run
-  * suffices for pre-sorted input.
+/** Run generation by replacement selection with offset-value coding (paper
+  * §3), as an input adapter over [[LoserTree]]: the run number is an
+  * artificial leading key column (§5), so one code comparison orders rows by
+  * (run, key).
   *
-  * Rows assigned to the next run enter coded relative to "-inf"; they only
-  * ever advance past entries of their own run (earlier runs win by run
-  * number), so all their comparisons stay within their cohort and the usual
-  * loser-tree coding invariant applies run by run. Emitted codes are exact:
-  * tests check them against a from-scratch recoding of each run.
+  * Each of the `memRows` leaves holds one row. Once it is emitted, the leaf
+  * reads the next input row and compares it with the emitted row in one
+  * column scan: a row at or after it joins the run, and the scan yields its
+  * code; a smaller row goes to the next run, coded (offset 0, value run + 1).
+  * Each leaf thus ascends on (run, key) with exact codes. The expected run
+  * length is 2M for random input; pre-sorted input gives a single run.
+  *
+  * Emitted codes are relative to the previous row of the same run: without
+  * the run column, `pack(arity + 1, o, v)` is `pack(arity, o - 1, v)`, and a
+  * run's first row gets [[Ovc.initial]]. Throws `IllegalArgumentException` if
+  * a key column lies outside [0, 2^48).
   */
 final class ReplacementSelection(input: Iterator[ERow], memRows: Int, arity: Int,
                                  stats: OvcStats) {
   require(memRows > 0)
 
-  private[this] val m = math.max(1, memRows)
-  private[this] val treeSize: Int = { var s = 1; while (s < m) s <<= 1; s }
-  private[this] val EndRun = Int.MaxValue
+  private[this] val width = arity + 1
+  // Codes from here up have offset 0 in (run, key) space: a run's first row.
+  private[this] val runStart = Ovc.pack(width, 0, 0L)
 
-  private[this] val keys     = new Array[Array[Long]](treeSize)
-  private[this] val codes    = new Array[Long](treeSize)
-  private[this] val payloads = new Array[Array[Long]](treeSize)
-  private[this] val runNos   = new Array[Int](treeSize)
-  private[this] val node     = new Array[Int](treeSize)
+  /** One leaf: the input rows that replace its emitted rows, keyed (run, key). */
+  private final class Leaf extends Iterator[CodedRow] {
+    private[this] var prev: Array[Long] = null // the leaf's last row, just emitted
+    private[this] var run = 0L
 
-  private[this] val cmp = new OvcComparator(arity, stats)
+    override def hasNext: Boolean = input.hasNext
 
-  // Fill: the first memRows input rows form run 0's initial candidates.
-  {
-    var e = 0
-    while (e < treeSize) {
-      if (e < m && input.hasNext) {
-        val r = input.next()
-        keys(e) = r.key; codes(e) = Ovc.initial(r.key); payloads(e) = r.payload; runNos(e) = 0
-      } else { keys(e) = null; codes(e) = Ovc.LateFence; runNos(e) = EndRun }
-      e += 1
+    override def next(): CodedRow = {
+      val r = input.next()
+      Ovc.requireKey(r.key, arity)
+      val code = if (prev == null) runStart else codeAfterPrev(r.key)
+      prev = r.key
+      val key = new Array[Long](width)
+      key(0) = run
+      System.arraycopy(r.key, 0, key, 1, arity)
+      CodedRow(key, code, r.payload)
     }
-    def build(k: Int): Int =
-      if (k >= treeSize) k - treeSize
-      else {
-        val l = build(2 * k); val r = build(2 * k + 1)
-        val w = playMatch(l, r)
-        node(k) = if (w == l) r else l
-        w
-      }
-    node(0) = if (treeSize == 1) 0 else build(1)
-  }
 
-  private def playMatch(a: Int, b: Int): Int = {
-    // Run numbers decide first; codes are untouched (they stay relative to
-    // bases within the loser's own run).
-    if (runNos(a) != runNos(b)) return if (runNos(a) < runNos(b)) a else b
-    if (runNos(a) == EndRun) return a
-    val c = cmp.compare(keys(a), codes(a), keys(b), codes(b))
-    if (c < 0) { codes(b) = cmp.loserCode; a }
-    else if (c > 0) { codes(a) = cmp.loserCode; b }
-    else if (a < b) { codes(b) = cmp.loserCode; a }
-    else { codes(a) = cmp.loserCode; b }
-  }
-
-  /** Compare the incoming key with the just-emitted key; if it belongs to the
-    * current run, its offset-value code falls out of the same column scan.
-    * Returns the packed code, or -1 if the key sorts lower (next run).
-    */
-  private def codeOrNextRun(emitted: Array[Long], k: Array[Long]): Long = {
-    var i = 0
-    while (i < arity) {
-      stats.columnComparisons += 1
-      if (emitted(i) != k(i)) {
-        return if (emitted(i) < k(i)) Ovc.pack(arity, i, k(i)) else -1L
+    /** The code of `k` relative to `prev` if `k` joins the run; otherwise
+      * starts the next run and returns its code.
+      */
+    private def codeAfterPrev(k: Array[Long]): Long = {
+      var i = 0
+      while (i < arity) {
+        stats.columnComparisons += 1
+        if (prev(i) != k(i)) {
+          if (prev(i) < k(i)) return Ovc.pack(width, i + 1, k(i))
+          run += 1
+          return Ovc.pack(width, 0, run)
+        }
+        i += 1
       }
-      i += 1
+      0L // duplicate of the emitted row: same run, duplicate code
     }
-    0L // duplicate of the emitted row: same run, duplicate code
   }
+
+  private[this] val tree = new LoserTree(IndexedSeq.fill(memRows)(new Leaf), width, stats)
 
   /** The emitted stream: (runNo, row) with codes relative to the previous
     * row of the same run.
     */
-  def emit: Iterator[(Int, CodedRow)] = new Iterator[(Int, CodedRow)] {
-    override def hasNext: Boolean = runNos(node(0)) != EndRun
-
-    override def next(): (Int, CodedRow) = {
-      val w = node(0)
-      val run = runNos(w)
-      val out = CodedRow(keys(w), codes(w), payloads(w))
-      if (input.hasNext) {
-        val r = input.next()
-        val c = codeOrNextRun(out.key, r.key)
-        if (c >= 0L) { keys(w) = r.key; codes(w) = c; payloads(w) = r.payload; runNos(w) = run }
-        else {
-          keys(w) = r.key; codes(w) = Ovc.initial(r.key); payloads(w) = r.payload
-          runNos(w) = run + 1
-        }
-      } else { keys(w) = null; codes(w) = Ovc.LateFence; runNos(w) = EndRun }
-      var cur = w
-      var k = (treeSize + w) >> 1
-      while (k >= 1) {
-        val winner = playMatch(cur, node(k))
-        if (winner != cur) { node(k) = cur; cur = winner }
-        k >>= 1
-      }
-      node(0) = cur
-      (run, out)
-    }
+  def emit: Iterator[(Int, CodedRow)] = tree.map { w =>
+    val key = java.util.Arrays.copyOfRange(w.key, 1, width)
+    (w.key(0).toInt, CodedRow(key, if (w.code >= runStart) Ovc.initial(key) else w.code, w.payload))
   }
 
   /** The emitted stream chunked into runs (each inner iterator must be fully

@@ -41,16 +41,22 @@ final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   */
 object OvcSpark {
 
-  /** Extract an integral column as Long (keys must be integral and fit the
-    * 48-bit OVC value domain).
+  /** Extract an integral key column as Long. Throws
+    * `IllegalArgumentException` for a null, a non-integral value, or a value
+    * outside the OVC value domain [0, 2^48).
     */
-  private def toLong(v: Any): Long = v match {
-    case l: Long  => l
-    case i: Int   => i.toLong
-    case s: Short => s.toLong
-    case b: Byte  => b.toLong
-    case null     => throw new IllegalArgumentException("null key column")
-    case other    => throw new IllegalArgumentException(s"non-integral key column: $other")
+  private[spark] def toLong(v: Any): Long = {
+    val l = v match {
+      case l: Long  => l
+      case i: Int   => i.toLong
+      case s: Short => s.toLong
+      case b: Byte  => b.toLong
+      case null     => throw new IllegalArgumentException("null key column")
+      case other    => throw new IllegalArgumentException(s"non-integral key column: $other")
+    }
+    if ((l >>> Ovc.ValueBits) != 0L)
+      throw new IllegalArgumentException(s"key column value $l is outside [0, 2^${Ovc.ValueBits})")
+    l
   }
 
   /** Range-repartition on `keyCols`, sort each partition, and attach the

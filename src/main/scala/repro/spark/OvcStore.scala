@@ -31,9 +31,9 @@ object OvcStore {
 
   val Magic: Int = 0x4f564331 // "OVC1"
 
-  /** Write `df` (projected to `keyCols`, which must be integral) as a sorted,
-    * prefix-truncated store under `dir`, one file per range partition.
-    * Returns the per-partition row counts.
+  /** Write `df` (projected to `keyCols`, which must be integral and within
+    * [0, 2^48)) as a sorted, prefix-truncated store under `dir`, one file per
+    * range partition. Returns the per-partition row counts.
     */
   def write(df: DataFrame, keyCols: Seq[String], dir: String): Array[Long] = {
     val arity = keyCols.length
@@ -54,11 +54,7 @@ object OvcStore {
         names.foreach(out.writeUTF)
         val prev = new Array[Long](arity)
         it.foreach { r =>
-          val key = idx.map(i => r.get(i) match {
-            case l: Long => l
-            case i2: Int => i2.toLong
-            case other   => throw new IllegalArgumentException(s"non-integral key: $other")
-          })
+          val key = idx.map(i => OvcSpark.toLong(r.get(i)))
           // Prefix truncation: offset = shared prefix with the predecessor.
           var off = 0
           if (n > 0) { while (off < arity && prev(off) == key(off)) off += 1 }

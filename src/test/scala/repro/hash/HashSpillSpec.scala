@@ -1,0 +1,40 @@
+package repro.hash
+
+import org.scalatest.funsuite.AnyFunSuite
+
+import repro.core._
+import repro.sort.SpillStats
+
+/** Exact spill and hashing counts of the grace-hash operators on fixed
+  * inputs that overflow memory and recurse.
+  */
+class HashSpillSpec extends AnyFunSuite {
+
+  private def counts(spill: SpillStats, stats: OvcStats): (Long, Long, Long, Long) =
+    (spill.rowsSpilled, spill.runsWritten, spill.bytesSpilled, stats.hashColumnAccesses)
+
+  test("pinned spill counts: hash group count that overflows memory") {
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    val spill = new SpillStats
+    val stats = new OvcStats
+    val out = HashAgg.groupCount(rows.iterator, 3, 50, spill, stats).toVector
+    val weights = rows.groupMapReduce(_.key.toVector)(_.payload(0))(_ + _)
+    assert(out.map(r => r.key.toVector -> r.payload(0)).toMap == weights)
+    info(s"counts=${counts(spill, stats)}")
+    assert(counts(spill, stats) == ((55763L, 272L, 2286555L, 257289L)))
+  }
+
+  test("pinned spill counts: hash semi join that recurses") {
+    def distinct(seed: Long) =
+      DataGen.randomRows(3000, 2, 80, seed).map(_.key.toVector).distinct.map(k => ERow(k.toArray))
+    val build = distinct(12)
+    val probe = distinct(13)
+    val spill = new SpillStats
+    val stats = new OvcStats
+    val out = HashJoin.semiJoin(build.iterator, probe.iterator, 2, 20, spill, stats).toVector
+    val expected = probe.map(_.key.toVector).toSet.intersect(build.map(_.key.toVector).toSet)
+    assert(out.map(_.key.toVector).sortBy(_.mkString(",")) == expected.toVector.sortBy(_.mkString(",")))
+    info(s"counts=${counts(spill, stats)}")
+    assert(counts(spill, stats) == ((9520L, 544L, 314704L, 28560L)))
+  }
+}
