@@ -39,7 +39,7 @@ object Fig3Job {
 object SparkGroupCountJob {
   def main(args: Array[String]): Unit = {
     val sf = if (args.nonEmpty) args(0).toDouble else 0.1
-    val spark = SparkSession.builder.appName("ovc-group-count")
+    val spark = SparkSession.builder().appName("ovc-group-count")
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     try {
       val li = SynthData.lineitem(spark, sf)
@@ -55,7 +55,7 @@ object SparkGroupCountJob {
 object SparkIntersectJob {
   def main(args: Array[String]): Unit = {
     val sf = if (args.nonEmpty) args(0).toDouble else 0.1
-    val spark = SparkSession.builder.appName("ovc-intersect")
+    val spark = SparkSession.builder().appName("ovc-intersect")
       .config("spark.sql.autoBroadcastJoinThreshold", -1).getOrCreate()
     try {
       val t1 = SynthData.lineitem(spark, sf).select("l_orderkey", "l_partkey")

@@ -43,15 +43,10 @@ object TablesHarness {
 
   /** Per row: (key, descending display code, ascending display code). */
   def table1(): Vector[(Vector[Long], Long, Long)] = {
-    val junk = new OvcStats
-    var prev: Array[Long] = null
-    Table1Rows.map { row =>
-      val key = row.toArray
-      val code = if (prev == null) Ovc.initial(key) else Ovc.encode(prev, key, junk)
-      prev = key
-      val off = Ovc.offsetOf(code, 4)
-      val v = Ovc.valueOf(code)
-      (row, Ovc.descDisplay(4, off, v), Ovc.ascDisplay(4, off, v))
+    DataGen.codeSorted(Table1Rows.map(_.toArray)).map { r =>
+      val off = Ovc.offsetOf(r.code, 4)
+      val v = Ovc.valueOf(r.code)
+      (r.key.toVector, Ovc.descDisplay(4, off, v), Ovc.ascDisplay(4, off, v))
     }
   }
 

@@ -24,13 +24,6 @@ final class OvcStats {
     codeComparisons = 0; columnComparisons = 0; rowComparisons = 0; hashColumnAccesses = 0
   }
 
-  def add(o: OvcStats): Unit = {
-    codeComparisons += o.codeComparisons
-    columnComparisons += o.columnComparisons
-    rowComparisons += o.rowComparisons
-    hashColumnAccesses += o.hashColumnAccesses
-  }
-
   override def toString: String =
     s"OvcStats(code=$codeComparisons, column=$columnComparisons, row=$rowComparisons, hashCol=$hashColumnAccesses)"
 }
@@ -90,20 +83,44 @@ object Ovc {
   /** True iff the coded row equals its base (offset == arity). */
   def isDup(code: Long): Boolean = (code >>> ValueBits) == 0L
 
+  /** True iff the coded row differs from its base within the first
+    * `prefixLen` columns (offset < prefixLen): a segment or group boundary on
+    * that prefix (§4.3, §4.5). One integer test, no column access.
+    */
+  def isBoundary(code: Long, arity: Int, prefixLen: Int): Boolean =
+    (code >>> ValueBits) > (arity - prefixLen).toLong
+
+  /** The same code re-packed for a key of `toArity` columns (§4.2): the
+    * offset is kept, and becomes the duplicate code 0 if it is not below
+    * `toArity`. Capping a key to a prefix, or extending it past a shared
+    * prefix, changes nothing else.
+    */
+  def recode(code: Long, fromArity: Int, toArity: Int): Long =
+    pack(toArity, offsetOf(code, fromArity), valueOf(code))
+
+  /** Code of `key` with first difference at column `off` (§4.10): the value
+    * is `key(off)`, and `off == key.length` is the duplicate code 0. An
+    * ordered scan that knows the offset builds the code with no comparison.
+    */
+  def codeAt(key: Array[Long], off: Int): Long =
+    if (off == key.length) 0L else pack(key.length, off, key(off))
+
   /** Code of the first row of a stream, i.e. relative to an implicit "-inf"
     * base sharing no prefix: offset 0, value = first column.
     */
-  def initial(key: Array[Long]): Long = pack(key.length, 0, key(0))
+  def initial(key: Array[Long]): Long = codeAt(key, 0)
 
-  /** Code of `cur` relative to `prev`, where `prev` sorts at or before `cur`.
+  /** Code of `cur` relative to `prev`, where `prev` sorts at or before `cur`;
+    * a null `prev` is the "-inf" base of a stream's first row ([[initial]]).
     * Counts one column comparison per column inspected.
     */
   def encode(prev: Array[Long], cur: Array[Long], stats: OvcStats): Long = {
+    if (prev == null) return initial(cur)
     val arity = cur.length
     var i = 0
     while (i < arity) {
       stats.columnComparisons += 1
-      if (prev(i) != cur(i)) return pack(arity, i, cur(i))
+      if (prev(i) != cur(i)) return codeAt(cur, i)
       i += 1
     }
     0L // duplicate of prev

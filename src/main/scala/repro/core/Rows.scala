@@ -16,7 +16,6 @@ object ERow {
   * implicit "-inf" base for the first row).
   */
 final case class CodedRow(key: Array[Long], code: Long, payload: Array[Long]) {
-  def offset(arity: Int): Int = Ovc.offsetOf(code, arity)
   override def toString: String =
     s"CodedRow(${key.mkString("[", ",", "]")}, code=$code, ${payload.mkString("[", ",", "]")})"
 }
@@ -34,7 +33,7 @@ object OvcInvariants {
     var i = 0
     rows.foreach { r =>
       require(r.key.length == arity, s"row $i: key arity ${r.key.length} != $arity")
-      val expect = if (prev == null) Ovc.initial(r.key) else Ovc.encode(prev, r.key, junk)
+      val expect = Ovc.encode(prev, r.key, junk)
       require(r.code == expect,
         s"row $i: code ${r.code} != expected $expect " +
         s"(offset=${Ovc.offsetOf(r.code, arity)} vs ${Ovc.offsetOf(expect, arity)}) for $r")
@@ -88,8 +87,7 @@ object DataGen {
       val key = compositeKey(g, arity, base)
       var j = 0
       while (j < ratio && i < n) {
-        val code = if (prev == null) Ovc.initial(key) else Ovc.encode(prev, key, junk)
-        out(i) = CodedRow(key, code, ERow.NoPayload)
+        out(i) = CodedRow(key, Ovc.encode(prev, key, junk), ERow.NoPayload)
         prev = key
         i += 1; j += 1
       }
@@ -107,8 +105,7 @@ object DataGen {
     var i = 0
     while (i < keys.length) {
       val k = keys(i)
-      val code = if (prev == null) Ovc.initial(k) else Ovc.encode(prev, k, junk)
-      b += CodedRow(k, code, if (payloads == null) ERow.NoPayload else payloads(i))
+      b += CodedRow(k, Ovc.encode(prev, k, junk), if (payloads == null) ERow.NoPayload else payloads(i))
       prev = k
       i += 1
     }

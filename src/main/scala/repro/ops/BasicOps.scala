@@ -2,24 +2,35 @@ package repro.ops
 
 import repro.core.{CodedRow, Ovc, OvcStats}
 
-/** Filter over a sorted, coded stream (paper §4.1): an output row's code is
-  * the max (ascending coding) of its input code and the codes of all rows
-  * dropped since the previous output row — a direct application of the
-  * theorem `ovc(A,C) = max(ovc(A,B), ovc(B,C))`. No column comparisons.
+/** The filter rule (paper §4.1): by the theorem
+  * `ovc(A,C) = max(ovc(A,B), ovc(B,C))`, a row kept after dropped rows takes
+  * the max (ascending coding) of its own code and theirs. One fold per
+  * output stream; the duplicate code 0 is its identity.
+  */
+private[ops] final class MaxFold {
+  private[this] var pending = 0L
+
+  /** Folds in the code of a row left out of this output. */
+  def drop(code: Long): Unit = pending = math.max(pending, code)
+
+  /** The output code of a kept row with input code `code`. */
+  def keep(code: Long): Long = { val c = math.max(code, pending); pending = 0L; c }
+}
+
+/** Filter over a sorted, coded stream (paper §4.1): output codes by
+  * [[MaxFold]]. No column comparisons.
   */
 object FilterOp {
   def apply(in: Iterator[CodedRow], pred: CodedRow => Boolean): Iterator[CodedRow] =
     new Iterator[CodedRow] {
-      private[this] var pendingMax = 0L
+      private[this] val fold = new MaxFold
       private[this] var out: CodedRow = null
 
       private def advance(): Unit =
         while (out == null && in.hasNext) {
           val r = in.next()
-          if (pred(r)) {
-            out = CodedRow(r.key, math.max(r.code, pendingMax), r.payload)
-            pendingMax = 0L
-          } else pendingMax = math.max(pendingMax, r.code)
+          if (pred(r)) out = CodedRow(r.key, fold.keep(r.code), r.payload)
+          else fold.drop(r.code)
         }
 
       override def hasNext: Boolean = { advance(); out != null }
@@ -32,21 +43,16 @@ object FilterOp {
     }
 }
 
-/** Projection (paper §4.2): keep the first `keepLen` key columns. Offsets are
-  * capped to the surviving prefix; a row whose first difference lay beyond the
-  * surviving prefix becomes a duplicate w.r.t. the shortened key (code 0).
-  * Output may contain duplicates — "relationally pure" projection follows
-  * with [[DedupOp]].
+/** Projection (paper §4.2): keep the first `keepLen` key columns. Codes are
+  * re-packed to the surviving prefix ([[Ovc.recode]]); a row whose first
+  * difference lay beyond the surviving prefix becomes a duplicate w.r.t. the
+  * shortened key (code 0). Output may contain duplicates — "relationally
+  * pure" projection follows with [[DedupOp]].
   */
 object ProjectOp {
-  def capCode(code: Long, arity: Int, keepLen: Int): Long = {
-    val off = Ovc.offsetOf(code, arity)
-    if (off >= keepLen) 0L else Ovc.pack(keepLen, off, Ovc.valueOf(code))
-  }
-
   def apply(in: Iterator[CodedRow], arity: Int, keepLen: Int): Iterator[CodedRow] = {
     require(keepLen > 0 && keepLen <= arity, s"bad keepLen $keepLen for arity $arity")
-    in.map(r => CodedRow(r.key.take(keepLen), capCode(r.code, arity, keepLen), r.payload))
+    in.map(r => CodedRow(r.key.take(keepLen), Ovc.recode(r.code, arity, keepLen), r.payload))
   }
 }
 
@@ -68,9 +74,6 @@ object DedupOp {
   */
 object GroupAggOp {
 
-  @inline def isBoundary(code: Long, inArity: Int, groupLen: Int): Boolean =
-    (code >>> Ovc.ValueBits) > (inArity - groupLen).toLong // offset < groupLen
-
   /** OVC-driven variant: boundary detection via the packed code only. */
   def countByOvc(in: Iterator[CodedRow], inArity: Int, groupLen: Int,
                  stats: OvcStats): Iterator[CodedRow] =
@@ -82,7 +85,7 @@ object GroupAggOp {
       override def next(): CodedRow = {
         if (cur == null) throw new NoSuchElementException
         val groupKey = cur.key.take(groupLen)
-        val groupCode = Ovc.pack(groupLen, Ovc.offsetOf(cur.code, inArity), Ovc.valueOf(cur.code))
+        val groupCode = Ovc.recode(cur.code, inArity, groupLen)
         var count = 1L
         var sum = if (cur.payload.nonEmpty) cur.payload(0) else 0L
         cur = null
@@ -90,7 +93,7 @@ object GroupAggOp {
         while (continue && in.hasNext) {
           val r = in.next()
           stats.codeComparisons += 1
-          if (isBoundary(r.code, inArity, groupLen)) { cur = r; continue = false }
+          if (Ovc.isBoundary(r.code, inArity, groupLen)) { cur = r; continue = false }
           else { count += 1; if (r.payload.nonEmpty) sum += r.payload(0) }
         }
         CodedRow(groupKey, groupCode, Array(count, sum))

@@ -64,11 +64,11 @@ object MergeJoinOp {
     advL(); advR()
 
     private def advL(): Unit =
-      if (left.hasNext) { lRow = left.next(); lCap = ProjectOp.capCode(lRow.code, leftArity, joinLen) }
+      if (left.hasNext) { lRow = left.next(); lCap = Ovc.recode(lRow.code, leftArity, joinLen) }
       else { lRow = null; lCap = Ovc.LateFence }
 
     private def advR(): Unit =
-      if (right.hasNext) { rRow = right.next(); rCap = ProjectOp.capCode(rRow.code, rightArity, joinLen) }
+      if (right.hasNext) { rRow = right.next(); rCap = Ovc.recode(rRow.code, rightArity, joinLen) }
       else { rRow = null; rCap = Ovc.LateFence }
 
     private def processMatch(): Unit = {
@@ -109,7 +109,7 @@ object MergeJoinOp {
 
 /** Output coding shared by [[MergeJoinOp]] and [[LookupJoinOp]] (§4.7, §4.8).
   * The output is ordered and keyed on the left (outer) key. Left rows dropped
-  * by the join fold their codes into the next output row (max rule, §4.1);
+  * by the join fold their codes into the next output row ([[MaxFold]], §4.1);
   * extra outputs of one left row (multiple matches) carry the duplicate code.
   * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
   * an outer join extends an unmatched left row by `nulls` copies of
@@ -120,29 +120,26 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
     extends Iterator[CodedRow] {
 
   protected[this] val out = mutable.Queue.empty[CodedRow]
-  private[this] var pending = 0L // max-fold of dropped left rows' codes
+  private[this] val fold = new MaxFold // over dropped left rows
 
   /** Queues output until `out` is non-empty or the input ends. */
   protected def fill(): Unit
 
-  /** Code of the next emitted left row: own code folded with dropped rows'. */
-  private def fold(l: CodedRow): Long = { val c = math.max(l.code, pending); pending = 0L; c }
-
   protected def unmatched(l: CodedRow): Unit = jt match {
-    case JoinType.Inner | JoinType.LeftSemi => pending = math.max(pending, l.code)
-    case JoinType.LeftAnti => out += CodedRow(l.key, fold(l), l.payload)
+    case JoinType.Inner | JoinType.LeftSemi => fold.drop(l.code)
+    case JoinType.LeftAnti => out += CodedRow(l.key, fold.keep(l.code), l.payload)
     case JoinType.LeftOuter =>
       val p = java.util.Arrays.copyOf(l.payload, l.payload.length + nulls)
       java.util.Arrays.fill(p, l.payload.length, p.length, nullSentinel)
-      out += CodedRow(l.key, fold(l), p)
+      out += CodedRow(l.key, fold.keep(l.code), p)
   }
 
   protected def matched(l: CodedRow, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
     jt match {
-      case JoinType.LeftSemi => out += CodedRow(l.key, fold(l), l.payload)
-      case JoinType.LeftAnti => pending = math.max(pending, l.code)
+      case JoinType.LeftSemi => out += CodedRow(l.key, fold.keep(l.code), l.payload)
+      case JoinType.LeftAnti => fold.drop(l.code)
       case JoinType.Inner | JoinType.LeftOuter =>
-        var code = fold(l)
+        var code = fold.keep(l.code)
         var i = 0
         while (i < group.length) {
           val suffix = group(i)._1
@@ -184,8 +181,7 @@ object LookupJoinOp {
         while (out.isEmpty && outer.hasNext) {
           val l = outer.next()
           stats.codeComparisons += 1
-          val capOff = Ovc.offsetOf(l.code, outerArity)
-          if (cached == null || capOff < joinLen) {
+          if (cached == null || Ovc.isBoundary(l.code, outerArity, joinLen)) {
             lookupStats.calls += 1
             cached = lookup(l.key.take(joinLen))
           }

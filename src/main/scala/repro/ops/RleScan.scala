@@ -41,9 +41,8 @@ final class RleTable(val arity: Int, val numRows: Int,
       val key = new Array[Long](arity)
       j = 0
       while (j < arity) { key(j) = values(j)(runIdx(j)); j += 1 }
-      val code = if (off == arity) 0L else Ovc.pack(arity, off, values(off)(runIdx(off)))
       row += 1
-      CodedRow(key, code, ERow.NoPayload)
+      CodedRow(key, Ovc.codeAt(key, off), ERow.NoPayload)
     }
   }
 }

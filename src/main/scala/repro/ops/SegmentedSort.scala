@@ -40,19 +40,18 @@ object SegmentedSortOp {
           while (continue && in.hasNext) {
             val r = in.next()
             stats.codeComparisons += 1
-            if (Ovc.offsetOf(r.code, inArity) < segLen) { nextSeg = r; continue = false }
+            if (Ovc.isBoundary(r.code, inArity, segLen)) { nextSeg = r; continue = false }
             else seg += r
           }
           // Boundary code on the new key: offsets < segLen index shared S columns.
-          val boundaryCode =
-            Ovc.pack(newArity, Ovc.offsetOf(first.code, inArity), Ovc.valueOf(first.code))
+          val boundaryCode = Ovc.recode(first.code, inArity, newArity)
           // Re-key each row to S ++ C, coded relative to the segment base.
           val rekeyed = seg.map { r =>
             val key = new Array[Long](newArity)
             System.arraycopy(r.key, 0, key, 0, segLen)
             var i = 0
             while (i < newSuffixLen) { key(segLen + i) = r.payload(i); i += 1 }
-            Iterator.single(CodedRow(key, Ovc.pack(newArity, segLen, key(segLen)), r.payload))
+            Iterator.single(CodedRow(key, Ovc.codeAt(key, segLen), r.payload))
           }
           val sorted = new LoserTree(rekeyed.toIndexedSeq, newArity, stats)
           var firstOut = true

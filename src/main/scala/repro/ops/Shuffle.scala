@@ -7,25 +7,23 @@ import repro.sort.LoserTree
 object Shuffle {
 
   /** One-to-many ("splitting") shuffle: with respect to each output partition
-    * the stream is a filter, so each partition's codes fold the codes of rows
-    * routed elsewhere (max rule, §4.1). Works for any routing function —
-    * range, hash, or round-robin — since a subsequence of a sorted stream is
-    * sorted.
+    * the stream is a filter, so each partition's [[MaxFold]] folds the codes
+    * of rows routed elsewhere (§4.1). Works for any routing function — range,
+    * hash, or round-robin — since a subsequence of a sorted stream is sorted.
     */
   def split(in: Iterator[CodedRow], nParts: Int,
             partOf: CodedRow => Int): IndexedSeq[Vector[CodedRow]] = {
     require(nParts > 0)
     val builders = Vector.fill(nParts)(Vector.newBuilder[CodedRow])
-    val pendingMax = new Array[Long](nParts)
+    val folds = Array.fill(nParts)(new MaxFold)
     in.foreach { r =>
       val p = partOf(r)
       var q = 0
       while (q < nParts) {
-        if (q != p) pendingMax(q) = math.max(pendingMax(q), r.code)
+        if (q != p) folds(q).drop(r.code)
         q += 1
       }
-      builders(p) += CodedRow(r.key, math.max(r.code, pendingMax(p)), r.payload)
-      pendingMax(p) = 0L
+      builders(p) += CodedRow(r.key, folds(p).keep(r.code), r.payload)
     }
     builders.map(_.result())
   }

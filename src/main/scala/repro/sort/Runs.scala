@@ -16,13 +16,6 @@ final class SpillStats {
   var bytesSpilled: Long = 0L
   var mergeLevels: Int = 0
 
-  def reset(): Unit = { rowsSpilled = 0; runsWritten = 0; bytesSpilled = 0; mergeLevels = 0 }
-
-  def add(o: SpillStats): Unit = {
-    rowsSpilled += o.rowsSpilled; runsWritten += o.runsWritten
-    bytesSpilled += o.bytesSpilled; mergeLevels = math.max(mergeLevels, o.mergeLevels)
-  }
-
   override def toString: String =
     s"SpillStats(rows=$rowsSpilled, runs=$runsWritten, bytes=$bytesSpilled, levels=$mergeLevels)"
 }

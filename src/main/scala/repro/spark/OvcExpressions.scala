@@ -6,6 +6,8 @@ import org.apache.spark.sql.catalyst.expressions.{BinaryExpression, Expression}
 import org.apache.spark.sql.catalyst.expressions.codegen.{CodegenContext, ExprCode}
 import org.apache.spark.sql.types.{BooleanType, DataType, IntegerType, LongType}
 
+import repro.core.Ovc
+
 /** `ovc_offset(code, arity)` — decode the column offset from a packed
   * ascending offset-value code (native Catalyst expression with codegen).
   */
@@ -19,10 +21,10 @@ case class OvcOffsetExpr(left: Expression, right: Expression)
     else TypeCheckResult.TypeCheckFailure(s"$prettyName expects (BIGINT, INT)")
 
   override protected def nullSafeEval(code: Any, arity: Any): Any =
-    arity.asInstanceOf[Int] - (code.asInstanceOf[Long] >>> 48).toInt
+    Ovc.offsetOf(code.asInstanceOf[Long], arity.asInstanceOf[Int])
 
   override protected def doGenCode(ctx: CodegenContext, ev: ExprCode): ExprCode =
-    defineCodeGen(ctx, ev, (c, a) => s"$a - (int)($c >>> 48)")
+    defineCodeGen(ctx, ev, (c, a) => s"$a - (int)($c >>> ${Ovc.ValueBits})")
 
   override protected def withNewChildrenInternal(newLeft: Expression,
                                                  newRight: Expression): Expression =
@@ -42,10 +44,10 @@ case class OvcIsDupExpr(left: Expression, right: Expression)
     else TypeCheckResult.TypeCheckFailure(s"$prettyName expects (BIGINT, INT)")
 
   override protected def nullSafeEval(code: Any, arity: Any): Any =
-    (code.asInstanceOf[Long] >>> 48) == 0L
+    Ovc.isDup(code.asInstanceOf[Long])
 
   override protected def doGenCode(ctx: CodegenContext, ev: ExprCode): ExprCode =
-    defineCodeGen(ctx, ev, (c, _) => s"(($c >>> 48) == 0L)")
+    defineCodeGen(ctx, ev, (c, _) => s"(($c >>> ${Ovc.ValueBits}) == 0L)")
 
   override protected def withNewChildrenInternal(newLeft: Expression,
                                                  newRight: Expression): Expression =

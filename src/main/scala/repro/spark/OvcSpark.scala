@@ -1,12 +1,12 @@
 package repro.spark
 
 import org.apache.spark.RangePartitioner
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
-import repro.ops.{DedupOp, GroupAggOp, JoinType, MergeJoinOp}
+import repro.ops.{GroupAggOp, JoinType, MergeJoinOp}
 import repro.sort.ExternalSort
 
 /** A key vector with lexicographic ordering, usable as a Spark shuffle key
@@ -75,7 +75,7 @@ object OvcSpark {
       var prev: Array[Long] = null
       it.map { r =>
         val key = keyIdx.map(i => toLong(r.get(i)))
-        val code = if (prev == null) Ovc.initial(key) else Ovc.encode(prev, key, junk)
+        val code = Ovc.encode(prev, key, junk)
         prev = key
         Row.fromSeq(r.toSeq :+ code)
       }
@@ -138,8 +138,8 @@ object OvcSpark {
       val stats = new OvcStats
       val spill = new repro.sort.SpillStats
       def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] =
-        DedupOp(ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
-                                  memRows = 1 << 20, stats, spill, dedup = true))
+        ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
+                          memRows = 1 << 20, stats, spill, dedup = true)
       MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
                   JoinType.LeftSemi, stats)
         .map(r => Row.fromSeq(r.key.toSeq))

@@ -13,7 +13,7 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.Ovc
+import repro.core.{Ovc, OvcStats}
 
 /** A sorted columnar store with prefix truncation (paper §4.10/§4.11): each
   * record is encoded relative to its immediate predecessor as
@@ -52,17 +52,17 @@ object OvcStore {
         out.writeInt(Magic)
         out.writeInt(arity)
         names.foreach(out.writeUTF)
-        val prev = new Array[Long](arity)
+        val junk = new OvcStats
+        var prev: Array[Long] = null
         it.foreach { r =>
           val key = idx.map(i => OvcSpark.toLong(r.get(i)))
           // Prefix truncation: offset = shared prefix with the predecessor.
-          var off = 0
-          if (n > 0) { while (off < arity && prev(off) == key(off)) off += 1 }
+          val off = Ovc.offsetOf(Ovc.encode(prev, key, junk), arity)
           out.writeByte(1)
           out.writeByte(off)
           var j = off
           while (j < arity) { out.writeLong(key(j)); j += 1 }
-          System.arraycopy(key, 0, prev, 0, arity)
+          prev = key
           n += 1
         }
         out.writeByte(0)
@@ -84,9 +84,10 @@ object OvcStore {
   }
 
   def files(dir: String): Array[File] = {
-    val fs = new File(dir).listFiles()
-    require(fs != null && fs.nonEmpty, s"no OvcStore files under $dir")
-    fs.filter(_.getName.endsWith(".ovc")).sortBy(_.getName)
+    val fs = Option(new File(dir).listFiles()).getOrElse(Array.empty[File])
+      .filter(_.getName.endsWith(".ovc"))
+    require(fs.nonEmpty, s"no OvcStore files under $dir")
+    fs.sortBy(_.getName)
   }
 
   private def firstFile(dir: String): File = files(dir).head
@@ -136,7 +137,9 @@ final class OvcStoreScan(path: String, val readSchema0: StructType) extends Scan
 }
 
 /** Decodes one prefix-truncated file; per row the offset-value code is built
-  * from the stored offset and first suffix value alone (no comparisons).
+  * from the stored offset and first suffix value alone ([[Ovc.codeAt]], no
+  * comparisons). A file's first row is stored with offset 0, so its code is
+  * [[Ovc.initial]].
   */
 final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
   private[this] val in = new DataInputStream(new BufferedInputStream(new FileInputStream(file), 1 << 16))
@@ -147,7 +150,6 @@ final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
     a
   }
   private[this] val key = new Array[Long](arity)
-  private[this] var first = true
   private[this] var current: InternalRow = null
 
   override def next(): Boolean = {
@@ -156,15 +158,10 @@ final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
       val off = in.readByte().toInt
       var j = off
       while (j < arity) { key(j) = in.readLong(); j += 1 }
-      val code =
-        if (first) Ovc.initial(key)
-        else if (off == arity) 0L
-        else Ovc.pack(arity, off, key(off))
-      first = false
       val values = new Array[Any](arity + 1)
       j = 0
       while (j < arity) { values(j) = key(j); j += 1 }
-      values(arity) = code
+      values(arity) = Ovc.codeAt(key, off)
       current = new GenericInternalRow(values)
       true
     }

@@ -68,6 +68,13 @@ class OvcStoreSpec extends SparkSpec {
     assert(bytes < 50000L * 3 * 8 / 2, s"store too large: $bytes bytes")
   }
 
+  test("a directory with no .ovc file is rejected as holding no store files") {
+    val dir = tmp()
+    Files.write(new java.io.File(dir, "README").toPath, "not a store".getBytes)
+    val e = intercept[IllegalArgumentException](OvcStore.schemaOf(dir))
+    assert(e.getMessage.contains("no OvcStore files"))
+  }
+
   test("store scan of lineitem keys feeds OVC grouping with oracle-checked results") {
     val li = SynthData.lineitem(spark, sf = 0.01).select("l_orderkey", "l_linenumber")
     val dir = tmp()

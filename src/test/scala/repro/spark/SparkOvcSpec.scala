@@ -1,9 +1,7 @@
 package repro.spark
 
-import org.apache.spark.sql.Row
-
 import repro.{Oracle, SparkSpec, SynthData}
-import repro.core.{Ovc, OvcInvariants, OvcStats, CodedRow, ERow}
+import repro.core.{Ovc, OvcInvariants, CodedRow, ERow}
 
 /** Spark integration: the OVC artificial column, OVC-driven group count and
   * intersect-distinct inside executors, and the Catalyst expressions. All
