@@ -1,6 +1,11 @@
 package repro.core
 
-/** An engine row: a fixed-arity sort key plus an opaque payload. */
+/** An engine row: a fixed-arity sort key plus an opaque payload.
+  *
+  * Row contract: no code mutates a key or payload array after the row that
+  * holds it is emitted. Operators may therefore share these arrays between
+  * rows, and may emit one row object more than once.
+  */
 final case class ERow(key: Array[Long], payload: Array[Long]) {
   override def toString: String =
     s"ERow(${key.mkString("[", ",", "]")}, ${payload.mkString("[", ",", "]")})"
@@ -14,6 +19,11 @@ object ERow {
 /** A row in a sorted, offset-value-coded stream: `code` is the packed
   * ascending OVC of `key` relative to the stream's previous row (or the
   * implicit "-inf" base for the first row).
+  *
+  * The [[ERow]] contract holds: key and payload arrays are never mutated
+  * after emission. An operator may pass an input row through as its output
+  * and may emit one object again for a duplicate (code 0), so consumers must
+  * not tell rows apart by identity.
   */
 final case class CodedRow(key: Array[Long], code: Long, payload: Array[Long]) {
   override def toString: String =

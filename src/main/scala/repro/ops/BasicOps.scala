@@ -15,10 +15,19 @@ private[ops] final class MaxFold {
 
   /** The output code of a kept row with input code `code`. */
   def keep(code: Long): Long = { val c = math.max(code, pending); pending = 0L; c }
+
+  /** A kept row as output with its key and payload as they are: `r` itself
+    * when no dropped code folds into it, else `r` with the folded code.
+    */
+  def pass(r: CodedRow): CodedRow = {
+    val c = keep(r.code)
+    if (c == r.code) r else CodedRow(r.key, c, r.payload)
+  }
 }
 
 /** Filter over a sorted, coded stream (paper §4.1): output codes by
-  * [[MaxFold]]. No column comparisons.
+  * [[MaxFold]], which passes a kept row through unless dropped rows fold
+  * into its code. No column comparisons.
   */
 object FilterOp {
   def apply(in: Iterator[CodedRow], pred: CodedRow => Boolean): Iterator[CodedRow] =
@@ -29,7 +38,7 @@ object FilterOp {
       private def advance(): Unit =
         while (out == null && in.hasNext) {
           val r = in.next()
-          if (pred(r)) out = CodedRow(r.key, fold.keep(r.code), r.payload)
+          if (pred(r)) out = fold.pass(r)
           else fold.drop(r.code)
         }
 
@@ -47,12 +56,26 @@ object FilterOp {
   * re-packed to the surviving prefix ([[Ovc.recode]]); a row whose first
   * difference lay beyond the surviving prefix becomes a duplicate w.r.t. the
   * shortened key (code 0). Output may contain duplicates — "relationally
-  * pure" projection follows with [[DedupOp]].
+  * pure" projection follows with [[DedupOp]]. A duplicate shares the
+  * previous output's projected key, and is that output row again when the
+  * row was a duplicate too and the payload is the same array. Keeping every
+  * column returns the input.
   */
 object ProjectOp {
   def apply(in: Iterator[CodedRow], arity: Int, keepLen: Int): Iterator[CodedRow] = {
     require(keepLen > 0 && keepLen <= arity, s"bad keepLen $keepLen for arity $arity")
-    in.map(r => CodedRow(r.key.take(keepLen), Ovc.recode(r.code, arity, keepLen), r.payload))
+    if (keepLen == arity) in
+    else {
+      var prev: CodedRow = null
+      in.map { r =>
+        val code = Ovc.recode(r.code, arity, keepLen)
+        prev =
+          if (code != 0L || prev == null) CodedRow(r.key.take(keepLen), code, r.payload)
+          else if (prev.code == 0L && (prev.payload eq r.payload)) prev
+          else CodedRow(prev.key, 0L, r.payload)
+        prev
+      }
+    }
   }
 }
 

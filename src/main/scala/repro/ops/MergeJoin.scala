@@ -109,7 +109,8 @@ object MergeJoinOp {
 
 /** Output coding shared by [[MergeJoinOp]] and [[LookupJoinOp]] (§4.7, §4.8).
   * The output is ordered and keyed on the left (outer) key. Left rows dropped
-  * by the join fold their codes into the next output row ([[MaxFold]], §4.1);
+  * by the join fold their codes into the next output row ([[MaxFold]], §4.1),
+  * and a semi or anti join passes a kept left row through ([[MaxFold.pass]]);
   * extra outputs of one left row (multiple matches) carry the duplicate code.
   * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
   * an outer join extends an unmatched left row by `nulls` copies of
@@ -127,7 +128,7 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
 
   protected def unmatched(l: CodedRow): Unit = jt match {
     case JoinType.Inner | JoinType.LeftSemi => fold.drop(l.code)
-    case JoinType.LeftAnti => out += CodedRow(l.key, fold.keep(l.code), l.payload)
+    case JoinType.LeftAnti => out += fold.pass(l)
     case JoinType.LeftOuter =>
       val p = java.util.Arrays.copyOf(l.payload, l.payload.length + nulls)
       java.util.Arrays.fill(p, l.payload.length, p.length, nullSentinel)
@@ -136,7 +137,7 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
 
   protected def matched(l: CodedRow, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
     jt match {
-      case JoinType.LeftSemi => out += CodedRow(l.key, fold.keep(l.code), l.payload)
+      case JoinType.LeftSemi => out += fold.pass(l)
       case JoinType.LeftAnti => fold.drop(l.code)
       case JoinType.Inner | JoinType.LeftOuter =>
         var code = fold.keep(l.code)

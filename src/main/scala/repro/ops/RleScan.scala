@@ -16,12 +16,15 @@ final class RleTable(val arity: Int, val numRows: Int,
 
   /** Scan in stored order, emitting rows with their packed OVCs. The per-row
     * work is integer run bookkeeping only; `stats.columnComparisons` is never
-    * incremented.
+    * incremented. A duplicate row (offset == arity, §4.4) shares the key
+    * array of the row emitted before it, and a duplicate of a duplicate is
+    * that same row object again.
     */
   def scan(stats: OvcStats): Iterator[CodedRow] = new Iterator[CodedRow] {
     private[this] val runIdx = Array.fill(arity)(-1)
     private[this] val remaining = new Array[Int](arity)
     private[this] var row = 0
+    private[this] var last: CodedRow = null
 
     override def hasNext: Boolean = row < numRows
 
@@ -38,11 +41,14 @@ final class RleTable(val arity: Int, val numRows: Int,
         remaining(j) -= 1
         j += 1
       }
-      val key = new Array[Long](arity)
-      j = 0
-      while (j < arity) { key(j) = values(j)(runIdx(j)); j += 1 }
       row += 1
-      CodedRow(key, Ovc.codeAt(key, off), ERow.NoPayload)
+      if (off < arity) {
+        val key = new Array[Long](arity)
+        j = 0
+        while (j < arity) { key(j) = values(j)(runIdx(j)); j += 1 }
+        last = CodedRow(key, Ovc.codeAt(key, off), ERow.NoPayload)
+      } else if (last.code != 0L) last = CodedRow(last.key, 0L, ERow.NoPayload)
+      last
     }
   }
 }

@@ -23,7 +23,7 @@ object Shuffle {
         if (q != p) folds(q).drop(r.code)
         q += 1
       }
-      builders(p) += CodedRow(r.key, folds(p).keep(r.code), r.payload)
+      builders(p) += folds(p).pass(r)
     }
     builders.map(_.result())
   }

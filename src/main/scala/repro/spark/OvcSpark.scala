@@ -1,6 +1,6 @@
 package repro.spark
 
-import org.apache.spark.RangePartitioner
+import org.apache.spark.{RangePartitioner, TaskContext}
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
@@ -137,9 +137,15 @@ object OvcSpark {
     val joined = p1.zipPartitions(p2) { (i1, i2) =>
       val stats = new OvcStats
       val spill = new repro.sort.SpillStats
-      def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] =
-        ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
-                          memRows = 1 << 20, stats, spill, dedup = true)
+      // The join stops pulling its right input when the left one ends, and a
+      // task may fail or be cancelled: closing each sort when the task
+      // completes deletes the run files left unread.
+      def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] = {
+        val sorted = ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
+                                       memRows = 1 << 20, stats, spill, dedup = true)
+        TaskContext.get().addTaskCompletionListener[Unit](_ => sorted.close())
+        sorted
+      }
       MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
                   JoinType.LeftSemi, stats)
         .map(r => Row.fromSeq(r.key.toSeq))

@@ -7,7 +7,8 @@ import repro.core._
 
 /** The filter rule (§4.1) has three users: the filter, each partition of a
   * splitting shuffle, and the left side of a semi join. Keeping the same rows
-  * of the same input, they emit the same keys, codes and payloads.
+  * of the same input, they emit the same keys, codes and payloads, and pass
+  * a kept row through when no dropped code folds into it.
   */
 class MaxFoldSpec extends AnyFunSuite {
 
@@ -24,6 +25,22 @@ class MaxFoldSpec extends AnyFunSuite {
       (0 until nParts).foreach { p =>
         assert(rows(parts(p)) == rows(FilterOp(in.iterator, partOf(_) == p).toVector), s"partition $p")
       }
+    }
+  }
+
+  for (seed <- 0 until 3; nParts <- Seq(1, 3, 8)) {
+    test(s"a split partition passes through each row kept with its own code (nParts=$nParts, seed=$seed)") {
+      val in = input(seed)
+      val partOf = (r: CodedRow) => ((r.key(0) * 5 + r.key(2) * 3 + r.payload(0)) % nParts).toInt
+      val parts = Shuffle.split(in.iterator, nParts, partOf)
+      var passed = 0
+      (0 until nParts).foreach { p =>
+        parts(p).zip(in.filter(partOf(_) == p)).foreach { case (o, r) =>
+          if (o.code == r.code) { assert(o eq r); passed += 1 }
+          else assert((o.key eq r.key) && (o.payload eq r.payload))
+        }
+      }
+      assert(passed > 0)
     }
   }
 

@@ -1,5 +1,7 @@
 package repro.spark
 
+import scala.jdk.CollectionConverters._
+
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{Ovc, OvcInvariants, CodedRow, ERow}
 
@@ -93,6 +95,23 @@ class SparkOvcSpec extends SparkSpec {
       .collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     val exp = u1.intersect(u2).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
     assert(got == exp)
+  }
+
+  test("OVC intersect-distinct deletes the run files of a sort the join leaves unread") {
+    // One partition, each side just over the sort's 2^20 memory rows, so
+    // both sorts spill; the left keys end first, so the join stops pulling
+    // the right sort with runs left unread.
+    val n = (1L << 20) + 1000
+    val t1 = spark.range(n).selectExpr("id AS k")
+    val t2 = spark.range(n).selectExpr("id * 2 AS k")
+    def sortDirs(): Set[java.nio.file.Path] = {
+      val tmp = java.nio.file.Paths.get(System.getProperty("java.io.tmpdir"))
+      val ls = java.nio.file.Files.newDirectoryStream(tmp, "ovc-sort*")
+      try ls.asScala.toSet finally ls.close()
+    }
+    val before = sortDirs()
+    assert(OvcSpark.intersectDistinct(t1, t2, Seq("k"), numPartitions = 1).count() == n / 2)
+    assert(sortDirs() -- before == Set.empty)
   }
 
   test("ovc_offset and ovc_is_dup expressions decode the artificial column in SQL") {
