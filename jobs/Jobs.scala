@@ -49,7 +49,7 @@ object SparkGroupCountJob {
   }
 }
 
-/** Spark-side sort-based intersect-distinct over co-range-partitioned inputs.
+/** Spark-side sort-based intersect-distinct over hash co-partitioned inputs.
   * Args: [scaleFactor] (default 0.1).
   */
 object SparkIntersectJob {

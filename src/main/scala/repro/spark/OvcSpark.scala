@@ -1,16 +1,19 @@
 package repro.spark
 
-import org.apache.spark.{RangePartitioner, TaskContext}
+import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.functions.col
-import org.apache.spark.sql.types.{LongType, StructField, StructType}
+import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType, StructField, StructType}
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 import repro.ops.{GroupAggOp, JoinType, MergeJoinOp}
 import repro.sort.ExternalSort
 
-/** A key vector with lexicographic ordering, usable as a Spark shuffle key
-  * (RangePartitioner needs an Ordering and serializability).
+/** A key vector with lexicographic ordering and value equality, usable as a
+  * key in a hashed or range-partitioned RDD shuffle. `OvcSpark` itself moves
+  * rows through Catalyst exchanges and does not use it.
   */
 final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   override def compare(that: KeyVec): Int = {
@@ -35,8 +38,9 @@ final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   *
   * Extension points used (see DESIGN.md): per-partition execution via
   * `mapPartitions`/`zipPartitions` for the operators themselves (the paper's
-  * contribution is operator-internal), a shared `RangePartitioner` for the
-  * order-preserving exchange, and native Catalyst `Expression`s
+  * contribution is operator-internal), Catalyst exchanges for moving rows
+  * (`repartitionByRange` where a global order is wanted, hash `repartition`
+  * where co-partitioning is enough), and native Catalyst `Expression`s
   * ([[OvcExpressions]]) for decoding the artificial column in SQL.
   */
 object OvcSpark {
@@ -109,39 +113,48 @@ object OvcSpark {
   }
 
   /** `select keyCols from df1 intersect select keyCols from df2` executed the
-    * sort-based way (Figure 2, right): both inputs co-partitioned by one
-    * RangePartitioner built over their union (order-preserving exchange),
-    * then per partition pair: in-sort duplicate removal on each side and an
-    * offset-value-coded merge join (intersection = semi join of distinct
-    * streams). Output columns: `keyCols` as Long.
+    * sort-based way (Figure 2, right): both inputs hash-partitioned on their
+    * key columns cast to `bigint`, by one Catalyst exchange each with the same
+    * partition count, then per partition pair: in-sort duplicate removal on
+    * each side and an offset-value-coded merge join (intersection = semi join
+    * of distinct streams). Each output partition is sorted; the partitions
+    * are not ordered relative to each other. Output columns: `keyCols` as
+    * Long.
+    *
+    * Key columns are resolved by their exact schema name and must be `bigint`,
+    * `int`, `smallint` or `tinyint`; any other type raises
+    * `IllegalArgumentException` here, a null key raises it when its row is
+    * read, and a key outside [0, 2^48) when its partition is sorted.
     */
   def intersectDistinct(df1: DataFrame, df2: DataFrame, keyCols: Seq[String],
                         numPartitions: Int = 0): DataFrame = {
     val spark = df1.sparkSession
     val arity = keyCols.length
-
-    def keyed(df: DataFrame) = {
-      val idx = keyCols.map(df.schema.fieldIndex).toArray
-      df.rdd.map(r => (KeyVec(idx.map(i => toLong(r.get(i)))), ()))
-    }
-
-    val kv1 = keyed(df1)
-    val kv2 = keyed(df2)
     val parts =
       if (numPartitions > 0) numPartitions
       else math.max(4, spark.sparkContext.defaultParallelism)
-    val partitioner = new RangePartitioner(parts, kv1.union(kv2))
-    val p1 = kv1.partitionBy(partitioner)
-    val p2 = kv2.partitionBy(partitioner)
 
-    val joined = p1.zipPartitions(p2) { (i1, i2) =>
+    // Both sides hash the same `bigint` values with the same partition count,
+    // so equal keys meet in the same partition pair.
+    def hashed(df: DataFrame): RDD[InternalRow] = {
+      val keys = keyCols.map { c =>
+        df.schema(c).dataType match {
+          case LongType | IntegerType | ShortType | ByteType => col(quoted(c)).cast(LongType).as(c)
+          case t => throw new IllegalArgumentException(s"non-integral key column $c: $t")
+        }
+      }
+      df.select(keys: _*).repartition(parts, keyCols.map(c => col(quoted(c))): _*)
+        .queryExecution.toRdd
+    }
+
+    val joined = hashed(df1).zipPartitions(hashed(df2)) { (i1, i2) =>
       val stats = new OvcStats
       val spill = new repro.sort.SpillStats
       // The join stops pulling its right input when the left one ends, and a
       // task may fail or be cancelled: closing each sort when the task
       // completes deletes the run files left unread.
-      def distinctSorted(it: Iterator[(KeyVec, Unit)]): Iterator[CodedRow] = {
-        val sorted = ExternalSort.sort(it.map(kv => ERow(kv._1.xs)), arity, 0,
+      def distinctSorted(it: Iterator[InternalRow]): Iterator[CodedRow] = {
+        val sorted = ExternalSort.sort(it.map(r => ERow(longKey(r, arity))), arity, 0,
                                        memRows = 1 << 20, stats, spill, dedup = true)
         TaskContext.get().addTaskCompletionListener[Unit](_ => sorted.close())
         sorted
@@ -152,5 +165,24 @@ object OvcSpark {
     }
     val schema = StructType(keyCols.map(c => StructField(c, LongType, nullable = false)))
     spark.createDataFrame(joined, schema)
+  }
+
+  /** A column name as a quoted identifier, so that Catalyst resolves it as
+    * one name even when it contains dots or backticks.
+    */
+  private def quoted(name: String): String = "`" + name.replace("`", "``") + "`"
+
+  /** The first `arity` fields of `r`, each a `bigint`; a null raises
+    * `IllegalArgumentException`.
+    */
+  private def longKey(r: InternalRow, arity: Int): Array[Long] = {
+    val key = new Array[Long](arity)
+    var i = 0
+    while (i < arity) {
+      if (r.isNullAt(i)) throw new IllegalArgumentException("null key column")
+      key(i) = r.getLong(i)
+      i += 1
+    }
+    key
   }
 }

@@ -97,6 +97,54 @@ class SparkOvcSpec extends SparkSpec {
     assert(got == exp)
   }
 
+  test("OVC intersect-distinct over int, smallint and bigint key columns matches DuckDB") {
+    // Equal keys of different integral types meet in one partition pair only
+    // because both sides hash the key cast to bigint.
+    val t1 = SynthData.uniformKeys(spark, rows = 20000, nKeys = 3000, seed = 1)
+      .selectExpr("cast(k as int) as k")
+    val t2 = SynthData.uniformKeys(spark, rows = 20000, nKeys = 4000, seed = 2).select("k")
+    Oracle.assertEquivalent(OvcSpark.intersectDistinct(t1, t2, Seq("k"), numPartitions = 8),
+                            "SELECT k FROM t1 INTERSECT SELECT k FROM t2", "t1" -> t1, "t2" -> t2)
+
+    val u1 = SynthData.lineitem(spark, sf = 0.01, seed = 5)
+      .selectExpr("l_orderkey", "cast(l_linenumber as smallint) as l_linenumber")
+    val u2 = SynthData.lineitem(spark, sf = 0.01, seed = 6)
+      .selectExpr("cast(l_orderkey as int) as l_orderkey", "cast(l_linenumber as long) as l_linenumber")
+    Oracle.assertEquivalent(
+      OvcSpark.intersectDistinct(u1, u2, Seq("l_orderkey", "l_linenumber"), numPartitions = 8),
+      "SELECT l_orderkey, l_linenumber FROM u1 INTERSECT SELECT l_orderkey, l_linenumber FROM u2",
+      "u1" -> u1, "u2" -> u2)
+  }
+
+  test("OVC intersect-distinct resolves a key column by its exact name") {
+    val t1 = SynthData.uniformKeys(spark, rows = 5000, nKeys = 800, seed = 1).selectExpr("k AS `a.b`")
+    val t2 = SynthData.uniformKeys(spark, rows = 5000, nKeys = 900, seed = 2).selectExpr("k AS `a.b`")
+    val got = OvcSpark.intersectDistinct(t1, t2, Seq("a.b"))
+    assert(got.columns.toSeq == Seq("a.b"))
+    assert(got.collect().map(_.getLong(0)).toSet == t1.intersect(t2).collect().map(_.getLong(0)).toSet)
+  }
+
+  test("OVC intersect-distinct keeps numPartitions and its rows with and without adaptive execution") {
+    val keys = Seq("l_orderkey", "l_partkey")
+    val t1 = SynthData.lineitem(spark, sf = 0.01, seed = 3).select("l_orderkey", "l_partkey")
+    val t2 = SynthData.lineitem(spark, sf = 0.01, seed = 4).select("l_orderkey", "l_partkey")
+    val exp = t1.intersect(t2).collect().map(r => (r.getLong(0), r.getLong(1))).toSet
+    val adaptive = "spark.sql.adaptive.enabled"
+    val saved = spark.conf.getOption(adaptive)
+    try {
+      for (on <- Seq(true, false); n <- Seq(1, 3, 16)) {
+        spark.conf.set(adaptive, on.toString)
+        val got = OvcSpark.intersectDistinct(t1, t2, keys, numPartitions = n)
+        // Both sides keep n partitions: adaptive execution coalesced neither.
+        assert(got.rdd.getNumPartitions == n, s"adaptive = $on")
+        assert(got.collect().map(r => (r.getLong(0), r.getLong(1))).toSet == exp,
+               s"adaptive = $on, $n partitions")
+        assert(OvcSpark.intersectDistinct(t1, t2.filter("false"), keys, numPartitions = n)
+                 .count() == 0, s"adaptive = $on, empty right side")
+      }
+    } finally saved.fold(spark.conf.unset(adaptive))(spark.conf.set(adaptive, _))
+  }
+
   test("OVC intersect-distinct deletes the run files of a sort the join leaves unread") {
     // One partition, each side just over the sort's 2^20 memory rows, so
     // both sorts spill; the left keys end first, so the join stops pulling
