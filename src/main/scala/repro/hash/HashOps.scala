@@ -66,6 +66,12 @@ private[hash] object SpillWriter {
   val Partitions: Int = 16
   val BatchRows: Int = 65536
 
+  /** `rows`, then deletes `dir`: the reads that drain `rows` have deleted
+    * the spill files in it by then.
+    */
+  def deletingWhenDrained(rows: Iterator[ERow], dir: Path): Iterator[ERow] =
+    rows ++ { RunFile.deleteDir(dir); Iterator.empty }
+
   /** Reads one partition's files back as rows with their one-column payload. */
   def read(files: Vector[Path], arity: Int): Iterator[ERow] =
     files.iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
@@ -80,7 +86,8 @@ object HashAgg {
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
     * unseen groups spill to one of the [[SpillWriter]] partitions, processed
-    * recursively after the input drains.
+    * recursively after the input drains. Without a `tmpDir`, the temporary
+    * directory the operator makes is deleted once its output is drained.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats,
@@ -104,10 +111,11 @@ object HashAgg {
     }
 
     // Each spilled partition is read back, and recursed into, once reached.
-    spilled.finish().filter(_.nonEmpty).foldLeft(
+    val out = spilled.finish().filter(_.nonEmpty).foldLeft(
       map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }) { (result, files) =>
       result ++ groupCount(SpillWriter.read(files, arity), arity, memGroups, spill, stats, dir, level + 1)
     }
+    if (tmpDir != null) out else SpillWriter.deletingWhenDrained(out, dir)
   }
 }
 
@@ -119,14 +127,14 @@ object HashAgg {
 object HashJoin {
 
   /** Emit each probe row whose key occurs in the build input (both sides are
-    * assumed distinct on the full key, as after duplicate removal).
+    * assumed distinct on the full key, as after duplicate removal). Without
+    * a `tmpDir`, the temporary directory a spilling join makes is deleted
+    * once its output is drained.
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
                memRows: Int, spill: SpillStats, stats: OvcStats,
                tmpDir: Path = null, level: Int = 0): Iterator[ERow] = {
     require(memRows > 0)
-    val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-join")
-
     val inMem = new mutable.ArrayBuffer[ERow]()
     var overflow = false
     while (!overflow && build.hasNext) {
@@ -142,6 +150,7 @@ object HashJoin {
         set.contains(new LongsKey(r.key))
       }
     } else {
+      val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-join")
       def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
         val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 0L)
         rows.foreach { r =>
@@ -154,10 +163,11 @@ object HashJoin {
       val buildParts = partition(inMem.iterator ++ build)
       val probeParts = partition(probe)
 
-      buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
+      val out = buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
         semiJoin(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
                  dir, level + 1)
       }
+      if (tmpDir != null) out else SpillWriter.deletingWhenDrained(out, dir)
     }
   }
 }

@@ -3,13 +3,15 @@ package repro.sort
 import java.io.Closeable
 import java.nio.file.{Files, Path}
 
-import repro.core.{CodedRow, ERow, Ovc, OvcStats}
+import repro.core.{CodedRow, ERow, OvcStats}
+import repro.ops.DedupOp
 
 /** External merge sort with tree-of-losers priority queues and offset-value
   * coding (paper §3, §5): run generation merges single-row runs (so OVCs in
   * each spilled run are a by-product), runs spill to real local files, and a
   * (possibly multi-level) merge with a loser tree produces the sorted, coded
-  * output stream.
+  * output stream. Every tree whose output is spilled is drained straight into
+  * its run file, with no row object per row.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
@@ -49,56 +51,43 @@ object ExternalSort {
     var n = fill()
     if (n == 0) return new SortedStream(Iterator.empty, Nil, null)
     if (!input.hasNext) // fits in memory: no spill
-      return new SortedStream(genRun(chunk, n, arity, stats, dedup), Nil, null)
+      return new SortedStream(dedupIf(LoserTree.ofRows(chunk, n, arity, stats), dedup), Nil, null)
 
     val ownDir = if (tmpDir == null) RunFile.newTempDir("ovc-sort") else null
     val dir = if (tmpDir != null) tmpDir else ownDir
+    // Runs of the current level, and runs already merged into the next.
     var runs = Vector.empty[Path]
+    var merged = Vector.empty[Path]
     try {
       while (n > 0) {
-        runs :+= RunFile.write(dir, arity, payloadArity, genRun(chunk, n, arity, stats, dedup), spill)
+        runs :+= RunFile.write(dir, arity, payloadArity, LoserTree.ofRows(chunk, n, arity, stats),
+                               dedup, spill)
         n = fill()
       }
 
       // Intermediate merge levels only when the run count exceeds the fan-in.
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
-        runs = runs
-          .grouped(fanIn)
-          .map { g =>
-            val merged = dedupFilter(
-              new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats),
-              dedup)
-            RunFile.write(dir, arity, payloadArity, merged, spill)
-          }
-          .toVector
+        runs.grouped(fanIn).foreach { g =>
+          val tree = new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats)
+          merged :+= RunFile.write(dir, arity, payloadArity, tree, dedup, spill)
+        }
+        runs = merged
+        merged = Vector.empty
       }
 
       val readers = runs.map(p => RunFile.reader(p, arity, payloadArity))
-      new SortedStream(dedupFilter(new LoserTree(readers, arity, stats), dedup), readers, ownDir)
+      new SortedStream(dedupIf(new LoserTree(readers, arity, stats), dedup), readers, ownDir)
     } catch {
       case t: Throwable =>
-        if (ownDir != null) deleteDir(ownDir) else runs.foreach(p => Files.deleteIfExists(p))
+        if (ownDir != null) RunFile.deleteDir(ownDir)
+        else (runs ++ merged).foreach(p => Files.deleteIfExists(p))
         throw t
     }
   }
 
-  /** Run generation: merge the `n` single-row runs of `chunk` with a loser
-    * tree. Every input row enters coded relative to "-inf" (offset 0); the
-    * tree's output is a sorted run with a valid OVC chain.
-    */
-  private def genRun(chunk: Array[ERow], n: Int, arity: Int, stats: OvcStats,
-                     dedup: Boolean): Iterator[CodedRow] =
-    dedupFilter(LoserTree.ofRows(chunk, n, arity, stats), dedup)
-
-  private def dedupFilter(it: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
-    if (dedup) it.filterNot(r => Ovc.isDup(r.code)) else it
-
-  private[sort] def deleteDir(dir: Path): Unit = {
-    val files = Files.list(dir)
-    try files.forEach(p => Files.deleteIfExists(p)) finally files.close()
-    Files.deleteIfExists(dir)
-  }
+  private def dedupIf(rows: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
+    if (dedup) DedupOp(rows) else rows
 }
 
 /** The sorted, coded output of [[ExternalSort.sort]]. Closing it closes its
@@ -117,6 +106,6 @@ final class SortedStream private[sort] (rows: Iterator[CodedRow], readers: Seq[R
     if (!closed) {
       closed = true
       readers.foreach(_.close())
-      if (ownDir != null) ExternalSort.deleteDir(ownDir)
+      if (ownDir != null) RunFile.deleteDir(ownDir)
     }
 }

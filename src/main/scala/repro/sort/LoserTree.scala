@@ -13,19 +13,26 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   * the prior overall winner, and the successor pulled from the winner's input
   * arrives already coded relative to that same winner.
   *
-  * Each internal node keeps its loser's code next to the loser's entry index,
-  * and the winner's code travels in a local through the leaf-to-root pass, so
-  * a level reads one node slot; key arrays are read only when two codes are
-  * equal.
+  * Internal node k keeps its loser in two arrays: `codes(k)`, the loser's
+  * code, and `losers(k)`, its entry index. The winner's code travels in a
+  * local through the leaf-to-root pass, so a level reads one slot of each
+  * array. Unequal codes settle a match without a branch on its outcome: the
+  * smaller code wins and carries on, and the node keeps the larger (by Iyer's
+  * lemma the loser keeps its code). Only two equal codes other than the
+  * fence branch, to compare key columns; key arrays are read nowhere else.
   *
-  * Exhausted inputs carry the late-fence code [[Ovc.LateFence]]; fence tests
-  * subsume code comparisons, as in the paper's F1 implementation (§5).
+  * Exhausted inputs carry the late-fence code [[Ovc.LateFence]], the largest
+  * code, so a fence loses to every row through the same code comparison, as
+  * in the paper's F1 implementation (§5); fence matches are not counted.
   *
   * Ties are won by the lower input index, making the merge stable; the losing
   * duplicate is re-coded with the duplicate code 0.
   *
   * The leaves come either from coded input streams, one per leaf, or from a
-  * plain row array ([[LoserTree.ofRows]]), one row per leaf.
+  * plain row array ([[LoserTree.ofRows]]), one row per leaf. Besides the
+  * iterator, the tree offers its current winner in place ([[headKey]],
+  * [[headCode]], [[headPayload]]) and [[advance]], so that [[RunFile]] can
+  * write a run from it without building a row object per row.
   */
 final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ERow], m: Int,
                                arity: Int, stats: OvcStats) extends Iterator[CodedRow] {
@@ -40,19 +47,20 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
 
   private[this] val keys     = new Array[Array[Long]](treeSize)
   private[this] val payloads = new Array[Array[Long]](treeSize)
-  // Internal node k (1 until treeSize) holds its loser in two adjacent slots:
-  // nodes(2k) is the loser's code, nodes(2k + 1) its entry index.
-  private[this] val nodes = new Array[Long](2 * treeSize)
+  // Internal node k (1 until treeSize): its loser's code and entry index.
+  private[this] val codes  = new Array[Long](treeSize)
+  private[this] val losers = new Array[Int](treeSize)
   private[this] var winner = 0
   private[this] var winnerCode = Ovc.LateFence
-  // The code of the last match's loser, relative to its winner.
-  private[this] var loserCode = 0L
 
   private[this] val cmp = new OvcComparator(arity, stats)
 
-  /** Loads entry `e`'s next input row; returns its code, or the late fence. */
+  /** Loads entry `e`'s next input row; returns its code, or the late fence.
+    * An emitted row-array leaf is a fence at once; its slots keep the row.
+    */
   private def advanceEntry(e: Int): Long =
-    if (inputs != null && e < m && inputs(e).hasNext) {
+    if (inputs == null) Ovc.LateFence
+    else if (e < m && inputs(e).hasNext) {
       val r = inputs(e).next()
       keys(e) = r.key; payloads(e) = r.payload
       r.code
@@ -73,26 +81,34 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
       Ovc.initial(key)
     }
 
-  /** True iff entry `a` beats entry `b`; sets `loserCode`. This is
-    * [[OvcComparator.compare]] with the fence tests in front, inlined so that
-    * unequal codes decide without loading either key.
+  /** Plays entry `cur`, with code `curCode`, against node `k`'s loser, whose
+    * code is `otherCode`; leaves the match's loser in node `k` and returns
+    * the winner, whose code is `min(curCode, otherCode)`. This is
+    * [[OvcComparator.compare]] with the lower-index tie-break; the caller
+    * counts the comparison.
     */
-  private def playMatch(a: Int, aCode: Long, b: Int, bCode: Long): Boolean =
-    // Fence tests come first and are free in the sense of the paper: they are
-    // the same single-integer comparison that would compare the codes.
-    if (aCode == Ovc.LateFence) { loserCode = aCode; false }
-    else if (bCode == Ovc.LateFence) { loserCode = bCode; true }
-    else {
-      stats.codeComparisons += 1
-      stats.rowComparisons += 1
-      if (aCode < bCode) { loserCode = bCode; true } // Iyer: the loser keeps its code
-      else if (aCode > bCode) { loserCode = aCode; false }
-      else {
-        val c = cmp.compareColumns(keys(a), keys(b), aCode)
-        loserCode = cmp.loserCode
-        c < 0 || (c == 0 && a < b) // stable: lower index wins
-      }
+  private def play(k: Int, cur: Int, curCode: Long, otherCode: Long): Int = {
+    val other = losers(k)
+    if (curCode != otherCode || curCode == Ovc.LateFence) {
+      // -1 iff cur wins. Codes are non-negative, so the difference cannot
+      // overflow; of two fences, `other` wins.
+      val curWins = ((curCode - otherCode) >> 63).toInt
+      codes(k) = math.max(curCode, otherCode)
+      losers(k) = (other & curWins) | (cur & ~curWins)
+      (cur & curWins) | (other & ~curWins)
+    } else {
+      val c = cmp.compareColumns(keys(cur), keys(other), curCode)
+      codes(k) = cmp.loserCode
+      if (c < 0 || (c == 0 && cur < other)) cur // stable: lower index wins
+      else { losers(k) = cur; other }
     }
+  }
+
+  /** 1 for a match the codes decide, 0 for one against a fence: the larger
+    * code of a match is the fence iff either is.
+    */
+  @inline private def counted(curCode: Long, otherCode: Long): Long =
+    (math.max(curCode, otherCode) - Ovc.LateFence) >>> 63
 
   // Initialization: load the entries left to right while playing the initial
   // tournament bottom-up; each internal node keeps its loser, the winner
@@ -104,12 +120,12 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
       else {
         val l = build(2 * k); val lCode = winnerCode
         val r = build(2 * k + 1); val rCode = winnerCode
-        val slot = 2 * k
-        if (playMatch(l, lCode, r, rCode)) {
-          nodes(slot) = loserCode; nodes(slot + 1) = r; winnerCode = lCode; l
-        } else {
-          nodes(slot) = loserCode; nodes(slot + 1) = l; winnerCode = rCode; r
-        }
+        val n = counted(lCode, rCode)
+        stats.codeComparisons += n
+        stats.rowComparisons += n
+        losers(k) = r
+        winnerCode = math.min(lCode, rCode)
+        play(k, l, lCode, rCode)
       }
     winner = build(1)
   }
@@ -117,25 +133,35 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
   override def hasNext: Boolean = winnerCode != Ovc.LateFence
 
   override def next(): CodedRow = {
+    val out = CodedRow(keys(winner), winnerCode, payloads(winner))
+    advance()
+    out
+  }
+
+  /** The current winner's key, code and payload; valid while [[hasNext]]. */
+  private[sort] def headKey: Array[Long] = keys(winner)
+  private[sort] def headCode: Long = winnerCode
+  private[sort] def headPayload: Array[Long] = payloads(winner)
+
+  /** Drops the current winner: replaces it with its successor and replays
+    * its leaf-to-root path.
+    */
+  private[sort] def advance(): Unit = {
     var cur = winner
-    val out = CodedRow(keys(cur), winnerCode, payloads(cur))
-    // Replace the winner with its successor and replay its leaf-to-root path.
     var curCode = advanceEntry(cur)
+    var n = 0L
     var k = (treeSize + cur) >> 1
     while (k >= 1) {
-      val slot = k << 1
-      val otherCode = nodes(slot)
-      val other = nodes(slot + 1).toInt
-      if (playMatch(cur, curCode, other, otherCode)) nodes(slot) = loserCode
-      else {
-        nodes(slot) = loserCode; nodes(slot + 1) = cur
-        cur = other; curCode = otherCode
-      }
+      val otherCode = codes(k)
+      n += counted(curCode, otherCode)
+      cur = play(k, cur, curCode, otherCode)
+      curCode = math.min(curCode, otherCode)
       k >>= 1
     }
+    stats.codeComparisons += n
+    stats.rowComparisons += n
     winner = cur
     winnerCode = curCode
-    out
   }
 }
 

@@ -5,7 +5,7 @@ import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
 
-import repro.core.CodedRow
+import repro.core.{CodedRow, Ovc}
 
 /** Spill accounting for external algorithms: the unit the paper's Figure 3
   * argues about is "rows spilled to temporary storage".
@@ -38,41 +38,90 @@ object RunFile {
     d
   }
 
-  /** Write `rows` as one run; returns the file path. Updates `spill`. */
-  def write(dir: Path, arity: Int, payloadArity: Int,
-            rows: Iterator[CodedRow], spill: SpillStats): Path = {
-    val path = Files.createTempFile(dir, "run", ".bin")
-    path.toFile.deleteOnExit()
-    val rowSize = rowBytes(arity, payloadArity)
-    val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize))
-    val ch = FileChannel.open(path, StandardOpenOption.WRITE)
-    var n = 0L
-    try {
-      while (rows.hasNext) {
-        val r = rows.next()
-        if (buf.remaining < rowSize) flush(ch, buf)
-        buf.put(1: Byte)
-        var i = 0
-        while (i < arity) { buf.putLong(r.key(i)); i += 1 }
-        buf.putLong(r.code)
-        i = 0
-        while (i < payloadArity) { buf.putLong(r.payload(i)); i += 1 }
-        n += 1
-      }
-      if (!buf.hasRemaining) flush(ch, buf)
-      buf.put(0: Byte)
-      flush(ch, buf)
-    } finally ch.close()
-    spill.rowsSpilled += n
-    spill.runsWritten += 1
-    spill.bytesSpilled += 1 + n * rowSize
-    path
+  /** Deletes `dir` and the files in it. */
+  private[repro] def deleteDir(dir: Path): Unit = {
+    val files = Files.list(dir)
+    try files.forEach(p => Files.deleteIfExists(p)) finally files.close()
+    Files.deleteIfExists(dir)
   }
 
-  private def flush(ch: FileChannel, buf: ByteBuffer): Unit = {
-    buf.flip()
-    while (buf.hasRemaining) ch.write(buf)
-    buf.clear()
+  /** Write `rows` as one run; returns the file path. Updates `spill`. */
+  def write(dir: Path, arity: Int, payloadArity: Int,
+            rows: Iterator[CodedRow], spill: SpillStats): Path =
+    writeRun(dir, arity, payloadArity, spill) { out =>
+      while (rows.hasNext) {
+        val r = rows.next()
+        out.put(r.key, r.code, r.payload)
+      }
+    }
+
+  /** Drain `tree` into one run, leaving out duplicates (code 0) if `dedup`;
+    * returns the file path. Updates `spill`. No row object is built.
+    */
+  private[sort] def write(dir: Path, arity: Int, payloadArity: Int, tree: LoserTree,
+                          dedup: Boolean, spill: SpillStats): Path =
+    writeRun(dir, arity, payloadArity, spill) { out =>
+      while (tree.hasNext) {
+        val code = tree.headCode
+        if (!dedup || !Ovc.isDup(code)) out.put(tree.headKey, code, tree.headPayload)
+        tree.advance()
+      }
+    }
+
+  /** Creates a run file, lets `fill` put its rows, and ends the run. If
+    * anything throws, the partial file is deleted and `spill` is unchanged.
+    */
+  private def writeRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)
+                      (fill: RowWriter => Unit): Path = {
+    val path = Files.createTempFile(dir, "run", ".bin")
+    path.toFile.deleteOnExit()
+    var done = false
+    try {
+      val out = new RowWriter(FileChannel.open(path, StandardOpenOption.WRITE), arity, payloadArity)
+      try { fill(out); out.end() } finally out.close()
+      spill.rowsSpilled += out.rows
+      spill.runsWritten += 1
+      spill.bytesSpilled += 1 + out.rows * rowBytes(arity, payloadArity)
+      done = true
+      path
+    } finally if (!done) Files.deleteIfExists(path)
+  }
+
+  /** Puts rows into a run file through one buffer. */
+  private final class RowWriter(ch: FileChannel, arity: Int, payloadArity: Int) {
+    private[this] val rowSize = rowBytes(arity, payloadArity)
+    private[this] val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize))
+    var rows = 0L
+
+    def put(key: Array[Long], code: Long, payload: Array[Long]): Unit = {
+      // Fields are read once per row, so that the column loops run on locals.
+      val b = buf
+      val n = arity
+      val pn = payloadArity
+      if (b.remaining < rowSize) flush()
+      b.put(1: Byte)
+      var i = 0
+      while (i < n) { b.putLong(key(i)); i += 1 }
+      b.putLong(code)
+      i = 0
+      while (i < pn) { b.putLong(payload(i)); i += 1 }
+      rows += 1
+    }
+
+    /** Writes the end marker and everything still buffered. */
+    def end(): Unit = {
+      if (!buf.hasRemaining) flush()
+      buf.put(0: Byte)
+      flush()
+    }
+
+    def close(): Unit = ch.close()
+
+    private def flush(): Unit = {
+      buf.flip()
+      while (buf.hasRemaining) ch.write(buf)
+      buf.clear()
+    }
   }
 
   /** Stream a run back; the file is deleted once fully consumed or closed. */

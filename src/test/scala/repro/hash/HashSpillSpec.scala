@@ -1,5 +1,9 @@
 package repro.hash
 
+import java.nio.file.{Files, Path, Paths}
+
+import scala.jdk.CollectionConverters._
+
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
@@ -36,5 +40,24 @@ class HashSpillSpec extends AnyFunSuite {
     assert(out.map(_.key.toVector).sortBy(_.mkString(",")) == expected.toVector.sortBy(_.mkString(",")))
     info(s"counts=${counts(spill, stats)}")
     assert(counts(spill, stats) == ((9520L, 544L, 314704L, 28560L)))
+  }
+
+  test("spilling hash operators delete their temporary directories once drained") {
+    val tmp = Paths.get(System.getProperty("java.io.tmpdir"))
+    def hashDirs(): Set[Path] = {
+      val s = Files.list(tmp)
+      try s.iterator().asScala.filter(_.getFileName.toString.startsWith("hash-")).toSet
+      finally s.close()
+    }
+    val before = hashDirs()
+    val spill = new SpillStats
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    val groups = HashAgg.groupCount(rows.iterator, 3, 50, spill, new OvcStats).size
+    assert(groups == rows.map(_.key.toVector).distinct.length)
+    val keys = DataGen.randomRows(3000, 2, 80, seed = 12).map(_.key.toVector).distinct.map(k => ERow(k.toArray))
+    val joined = HashJoin.semiJoin(keys.iterator, keys.iterator, 2, 20, spill, new OvcStats).size
+    assert(joined == keys.length)
+    assert(spill.runsWritten > 0)
+    assert((hashDirs() -- before).isEmpty)
   }
 }

@@ -102,4 +102,36 @@ class LoserTreeSpec extends AnyFunSuite {
            expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
     assert(viaRows.toString == viaRuns.toString)
   }
+
+  /** Sorted, coded inputs for a merge pin: every fourth input from index 2
+    * on is empty, keys (3 columns of 3 values) repeat within and across
+    * inputs, and each payload names its input and position.
+    */
+  private def pinInputs(k: Int): IndexedSeq[Vector[CodedRow]] =
+    (0 until k).map { i =>
+      val n = if (i % 4 == 2) 0 else 20 + (7 * i) % 23
+      val junk = new OvcStats
+      val keys = DataGen.randomRows(n, 3, 3, seed = 100 + i).map(_.key)
+        .sortWith((a, b) => Ovc.compareKeys(a, b, junk) < 0)
+      DataGen.codeSorted(keys.toIndexedSeq, keys.indices.map(j => Array(i.toLong, j.toLong)))
+    }
+
+  // Counts of the loser-tree implementation these tests were first written
+  // against: (fan-in, rows out, code/column/row compares). A change of node
+  // layout or pass must not add, drop or reorder a comparison.
+  for ((k, n, cmps) <- Seq((3, 47, (45L, 10L, 45L)), (5, 113, (238L, 33L, 238L)),
+                           (64, 1483, (8219L, 552L, 8219L)))) {
+    test(s"pinned merge of $k inputs: emitted rows and comparison counts") {
+      val inputs = pinInputs(k)
+      val stats = new OvcStats
+      val out = new LoserTree(inputs.map(_.iterator), 3, stats).toVector
+      // Inputs in index order, each in its own order: a stable sort of their
+      // concatenation is the merge with ties won by the lower input index.
+      val expected = Ref.sortCoded(inputs.flatten.map(r => ERow(r.key, r.payload)))
+      assert(out.size == n)
+      assert(out.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             expected.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      assert((stats.codeComparisons, stats.columnComparisons, stats.rowComparisons) == cmps)
+    }
+  }
 }

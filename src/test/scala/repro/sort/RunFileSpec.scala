@@ -5,7 +5,8 @@ import java.nio.file.{Files, Path}
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.core.{CodedRow, DataGen}
+import repro.core.{CodedRow, DataGen, OvcStats}
+import repro.ops.DedupOp
 
 /** The run-file codec: byte format, buffer edges, and file cleanup. */
 class RunFileSpec extends AnyFunSuite {
@@ -68,6 +69,37 @@ class RunFileSpec extends AnyFunSuite {
     assert(!Files.exists(path))
     assert(!reader.hasNext)
     reader.close()
+    Files.delete(dir)
+  }
+
+  for (dedup <- Seq(false, true); payloadArity <- Seq(0, 1)) {
+    test(s"a run drained from a tree equals the run of its rows, dedup=$dedup, payload $payloadArity") {
+      val dir = Files.createTempDirectory("runfile-spec")
+      // Few distinct keys, so that dedup drops rows; 4000 rows cross buffer edges.
+      val in = DataGen.randomRows(4000, 3, 8, seed = 5, payloadArity)
+      def tree() = LoserTree.ofRows(in, in.length, 3, new OvcStats)
+      val viaRows = new SpillStats
+      val rowsPath = RunFile.write(dir, 3, payloadArity, if (dedup) DedupOp(tree()) else tree(), viaRows)
+      val viaTree = new SpillStats
+      val treePath = RunFile.write(dir, 3, payloadArity, tree(), dedup, viaTree)
+      assert(Files.readAllBytes(treePath).sameElements(Files.readAllBytes(rowsPath)))
+      assert(viaTree.toString == viaRows.toString)
+      assert(viaTree.rowsSpilled < in.length == dedup)
+      Files.delete(treePath)
+      Files.delete(rowsPath)
+      Files.delete(dir)
+    }
+  }
+
+  test("a write whose input fails part-way leaves no file and counts nothing") {
+    val dir = Files.createTempDirectory("runfile-spec")
+    val failing = rows(1000, 4, 1, seed = 4).iterator ++
+      Iterator.fill[CodedRow](1)(throw new IllegalStateException("input failed"))
+    val spill = new SpillStats
+    intercept[IllegalStateException](RunFile.write(dir, 4, 1, failing, spill))
+    val left = Files.list(dir)
+    try assert(left.count() == 0) finally left.close()
+    assert(spill.toString == new SpillStats().toString)
     Files.delete(dir)
   }
 }
