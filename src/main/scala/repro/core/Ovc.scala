@@ -6,6 +6,9 @@ package repro.core
   * most row comparisons with a single integer comparison (`codeComparisons`),
   * bounding expensive `columnComparisons` by N*K for the whole sort. Hash
   * baselines are charged `hashColumnAccesses` (N*K just for the hash function).
+  *
+  * An `OvcStats` is single-threaded: work on other threads counts into
+  * stats of its own, which the owner then [[add]]s.
   */
 final class OvcStats {
   /** Single-integer offset-value-code comparisons (the cheap path). */
@@ -22,6 +25,14 @@ final class OvcStats {
 
   def reset(): Unit = {
     codeComparisons = 0; columnComparisons = 0; rowComparisons = 0; hashColumnAccesses = 0
+  }
+
+  /** Adds `other`'s counts to these. */
+  def add(other: OvcStats): Unit = {
+    codeComparisons += other.codeComparisons
+    columnComparisons += other.columnComparisons
+    rowComparisons += other.rowComparisons
+    hashColumnAccesses += other.hashColumnAccesses
   }
 
   override def toString: String =

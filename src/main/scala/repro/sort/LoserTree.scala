@@ -28,58 +28,38 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   * Ties are won by the lower input index, making the merge stable; the losing
   * duplicate is re-coded with the duplicate code 0.
   *
-  * The leaves come either from coded input streams, one per leaf, or from a
-  * plain row array ([[LoserTree.ofRows]]), one row per leaf. Besides the
-  * iterator, the tree offers its current winner in place ([[headKey]],
-  * [[headCode]], [[headPayload]]) and [[advance]], so that [[RunFile]] can
-  * write a run from it without building a row object per row.
+  * The entries take their rows from a [[LoserTree.Leaves]] source: coded
+  * input streams, one per entry; a plain row array, one row per entry
+  * ([[LoserTree.ofRows]]); or sorted slices kept in key, code and payload
+  * arrays, read in place ([[LoserTree.ofSlices]]). Besides the iterator, the tree offers its
+  * current winner in place ([[headKey]], [[headCode]], [[headPayload]]) and
+  * [[advance]], so that [[RunFile]] can write a run, or [[RunGen]] a sorted
+  * slice, from it without building a row object per row.
   */
-final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ERow], m: Int,
-                               arity: Int, stats: OvcStats) extends Iterator[CodedRow] {
+final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcStats,
+                               storage: LoserTree.Storage) extends Iterator[CodedRow] {
 
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
-    this(inputs.toArray, null, inputs.length, arity, stats)
+    this(new LoserTree.Streams(inputs.toArray), arity, stats, null)
 
+  private[this] val m = leaves.count
   require(m > 0, "LoserTree needs at least one input")
 
   // Entry count padded to a power of two; padding entries are permanent fences.
-  private[this] val treeSize: Int = { var s = 1; while (s < m) s <<= 1; s }
+  private[this] val treeSize: Int = LoserTree.padded(m)
 
-  private[this] val keys     = new Array[Array[Long]](treeSize)
-  private[this] val payloads = new Array[Array[Long]](treeSize)
+  private[this] val store =
+    if (storage == null) new LoserTree.Storage(treeSize)
+    else { require(storage.size >= treeSize, "tree storage too small"); storage }
+  private[this] val keys     = store.keys
+  private[this] val payloads = store.payloads
   // Internal node k (1 until treeSize): its loser's code and entry index.
-  private[this] val codes  = new Array[Long](treeSize)
-  private[this] val losers = new Array[Int](treeSize)
+  private[this] val codes  = store.codes
+  private[this] val losers = store.losers
   private[this] var winner = 0
   private[this] var winnerCode = Ovc.LateFence
 
   private[this] val cmp = new OvcComparator(arity, stats)
-
-  /** Loads entry `e`'s next input row; returns its code, or the late fence.
-    * An emitted row-array leaf is a fence at once; its slots keep the row.
-    */
-  private def advanceEntry(e: Int): Long =
-    if (inputs == null) Ovc.LateFence
-    else if (e < m && inputs(e).hasNext) {
-      val r = inputs(e).next()
-      keys(e) = r.key; payloads(e) = r.payload
-      r.code
-    } else {
-      keys(e) = null; payloads(e) = null
-      Ovc.LateFence
-    }
-
-  /** Loads entry `e`'s first row. A row-array leaf holds one row, coded
-    * relative to "-inf", and becomes a late fence once it is emitted.
-    */
-  private def loadEntry(e: Int): Long =
-    if (rows == null || e >= m) advanceEntry(e)
-    else {
-      val key = rows(e).key
-      Ovc.requireKey(key, arity)
-      keys(e) = key; payloads(e) = rows(e).payload
-      Ovc.initial(key)
-    }
 
   /** Plays entry `cur`, with code `curCode`, against node `k`'s loser, whose
     * code is `otherCode`; leaves the match's loser in node `k` and returns
@@ -116,8 +96,11 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
   // `winnerCode`.
   {
     def build(k: Int): Int =
-      if (k >= treeSize) { val e = k - treeSize; winnerCode = loadEntry(e); e }
-      else {
+      if (k >= treeSize) {
+        val e = k - treeSize
+        winnerCode = if (e < m) leaves.first(e, keys, payloads) else Ovc.LateFence
+        e
+      } else {
         val l = build(2 * k); val lCode = winnerCode
         val r = build(2 * k + 1); val rCode = winnerCode
         val n = counted(lCode, rCode)
@@ -148,7 +131,7 @@ final class LoserTree private (inputs: Array[Iterator[CodedRow]], rows: Array[ER
     */
   private[sort] def advance(): Unit = {
     var cur = winner
-    var curCode = advanceEntry(cur)
+    var curCode = if (cur < m) leaves.next(cur, keys, payloads) else Ovc.LateFence
     var n = 0L
     var k = (treeSize + cur) >> 1
     while (k >= 1) {
@@ -173,5 +156,94 @@ object LoserTree {
     * a key column lies outside the code's value domain [0, 2^48).
     */
   def ofRows(rows: Array[ERow], n: Int, arity: Int, stats: OvcStats): LoserTree =
-    new LoserTree(null, rows, n, arity, stats)
+    ofRows(rows, 0, n, arity, stats, null)
+
+  /** [[ofRows]] over `rows(from until from + n)`, whose entry e is row
+    * `from + e`, in `storage` if it is not null.
+    */
+  private[sort] def ofRows(rows: Array[ERow], from: Int, n: Int, arity: Int, stats: OvcStats,
+                           storage: Storage): LoserTree =
+    new LoserTree(new Singles(rows, from, n, arity), arity, stats, storage)
+
+  /** A tree over sorted slices, read in place: entry j's rows are the keys
+    * `keys(i)`, codes `codes(i)` and payloads `payloads(i)` for `i` in
+    * `[bounds(j), bounds(j + 1))`, each code relative to the slice's row
+    * before it (the first relative to "-inf").
+    */
+  private[sort] def ofSlices(keys: Array[Array[Long]], codes: Array[Long],
+                             payloads: Array[Array[Long]], bounds: Array[Int], arity: Int,
+                             stats: OvcStats): LoserTree =
+    new LoserTree(new Slices(keys, codes, payloads, bounds), arity, stats, null)
+
+  /** Entries of a tree over `n` inputs: `n` rounded up to a power of two. */
+  private[sort] def padded(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
+
+  /** The entry and node arrays of a tree of up to `size` entries. A run
+    * generator keeps one per slice of its chunks and reuses it for every
+    * chunk; a tree overwrites every slot it reads before reading it.
+    */
+  private[sort] final class Storage(val size: Int) {
+    val keys     = new Array[Array[Long]](size)
+    val payloads = new Array[Array[Long]](size)
+    val codes    = new Array[Long](size)
+    val losers   = new Array[Int](size)
+  }
+
+  /** Where a tree's `count` entries take their rows from. Each entry's rows
+    * arrive in order, each coded relative to the entry's row before it (the
+    * first relative to "-inf"). A load puts entry `e`'s row into slot `e` of
+    * `keys` and `payloads` and returns its code, or returns the late fence
+    * once the entry has no row left.
+    */
+  private[sort] abstract class Leaves(val count: Int) {
+    /** Loads entry `e`'s first row. */
+    def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long =
+      next(e, keys, payloads)
+
+    /** Loads entry `e`'s next row, once its current one was emitted. */
+    def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long
+  }
+
+  /** One coded input stream per entry. */
+  private final class Streams(inputs: Array[Iterator[CodedRow]]) extends Leaves(inputs.length) {
+    def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long =
+      if (inputs(e).hasNext) {
+        val r = inputs(e).next()
+        keys(e) = r.key; payloads(e) = r.payload
+        r.code
+      } else {
+        keys(e) = null; payloads(e) = null
+        Ovc.LateFence
+      }
+  }
+
+  /** One row per entry, coded relative to "-inf"; an emitted entry is a
+    * fence at once, and its slots keep the row.
+    */
+  private final class Singles(rows: Array[ERow], from: Int, n: Int, arity: Int) extends Leaves(n) {
+    override def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
+      val r = rows(from + e)
+      Ovc.requireKey(r.key, arity)
+      keys(e) = r.key; payloads(e) = r.payload
+      Ovc.initial(r.key)
+    }
+
+    def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = Ovc.LateFence
+  }
+
+  /** See [[ofSlices]]. Entry j reads its slice front to back. */
+  private final class Slices(sortedKeys: Array[Array[Long]], codes: Array[Long],
+                             sortedPayloads: Array[Array[Long]], bounds: Array[Int])
+      extends Leaves(bounds.length - 1) {
+    private[this] val pos = java.util.Arrays.copyOf(bounds, count)
+
+    def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
+      val i = pos(e)
+      if (i < bounds(e + 1)) {
+        keys(e) = sortedKeys(i); payloads(e) = sortedPayloads(i)
+        pos(e) = i + 1
+        codes(i)
+      } else Ovc.LateFence
+    }
+  }
 }

@@ -4,6 +4,10 @@ import java.io.{Closeable, EOFException}
 import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Files, Path, StandardOpenOption}
+import java.util.concurrent.ConcurrentHashMap
+
+import scala.jdk.CollectionConverters._
+import scala.util.control.NonFatal
 
 import repro.core.{CodedRow, Ovc}
 
@@ -25,6 +29,12 @@ final class SpillStats {
   * key, the code and the payload as big-endian longs; a trailing 0 byte ends
   * the run, so readers detect its end without a length header. Writers and
   * readers move whole 64 KiB buffers through a `FileChannel`.
+  *
+  * Every run file and temporary directory made here is a live spill path
+  * until it is deleted through [[delete]] or [[deleteDir]] (or by a reader
+  * that is drained or closed); one shutdown hook deletes the paths still live
+  * when the JVM exits. The set holds only live paths, so it does not grow
+  * with the number of runs a long-lived JVM writes.
   */
 object RunFile {
 
@@ -32,17 +42,36 @@ object RunFile {
 
   private def rowBytes(arity: Int, payloadArity: Int): Int = 1 + 8 * (arity + 1 + payloadArity)
 
+  private val live = ConcurrentHashMap.newKeySet[Path]()
+
+  Runtime.getRuntime.addShutdownHook(new Thread(() =>
+    // Deepest first: a directory's files go before it.
+    live.asScala.toVector.sortBy(-_.getNameCount).foreach { p =>
+      try Files.deleteIfExists(p) catch { case NonFatal(_) => }
+    }, "ovc-spill-cleanup"))
+
+  /** The spill paths made here and not deleted yet. */
+  private[repro] def livePaths: Set[Path] = live.asScala.toSet
+
   def newTempDir(prefix: String): Path = {
     val d = Files.createTempDirectory(prefix)
-    d.toFile.deleteOnExit()
+    live.add(d)
     d
+  }
+
+  /** Deletes the spill file or empty directory `path`, if it exists, and
+    * drops it from the live spill paths.
+    */
+  private[repro] def delete(path: Path): Unit = {
+    Files.deleteIfExists(path)
+    live.remove(path)
   }
 
   /** Deletes `dir` and the files in it. */
   private[repro] def deleteDir(dir: Path): Unit = {
     val files = Files.list(dir)
-    try files.forEach(p => Files.deleteIfExists(p)) finally files.close()
-    Files.deleteIfExists(dir)
+    try files.forEach(p => delete(p)) finally files.close()
+    delete(dir)
   }
 
   /** Write `rows` as one run; returns the file path. Updates `spill`. */
@@ -74,7 +103,7 @@ object RunFile {
   private def writeRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)
                       (fill: RowWriter => Unit): Path = {
     val path = Files.createTempFile(dir, "run", ".bin")
-    path.toFile.deleteOnExit()
+    live.add(path)
     var done = false
     try {
       val out = new RowWriter(FileChannel.open(path, StandardOpenOption.WRITE), arity, payloadArity)
@@ -84,7 +113,7 @@ object RunFile {
       spill.bytesSpilled += 1 + out.rows * rowBytes(arity, payloadArity)
       done = true
       path
-    } finally if (!done) Files.deleteIfExists(path)
+    } finally if (!done) delete(path)
   }
 
   /** Puts rows into a run file through one buffer. */
@@ -175,7 +204,7 @@ object RunFile {
         closed = true
         pending = null
         ch.close()
-        Files.deleteIfExists(path)
+        delete(path)
       }
   }
 }

@@ -180,4 +180,88 @@ class ExternalSortSpec extends AnyFunSuite {
     assert(runFiles(dir).isEmpty)
     Files.delete(dir)
   }
+
+  // The pinned counts hold whichever way run generation is split: 1 is the
+  // serial path a one-core JVM takes, and memRows 1000 and 100 split into
+  // slices of 512 down to 16 rows.
+  for ((name, rows, arity, payloadArity, memRows, dedup, fanIn, cmps, spilled) <- pinned;
+       slices <- Seq(1, 2, 4, 8)) {
+    test(s"pinned comparison and spill counts in $slices slices: $name") {
+      val stats = new OvcStats
+      val spill = new SpillStats
+      val out = ExternalSort.sort(rows.iterator, arity, payloadArity, memRows, stats, spill,
+                                  dedup, fanIn, null, slices).toVector
+      OvcInvariants.verifyChain(out, arity)
+      assert((stats.codeComparisons, stats.columnComparisons, stats.rowComparisons) == cmps)
+      assert((spill.rowsSpilled, spill.runsWritten, spill.bytesSpilled, spill.mergeLevels) == spilled)
+    }
+  }
+
+  test("run generation uses the largest power of two of slices not above the core count") {
+    assert(Seq(1, 2, 3, 4, 6, 8, 12).map(ExternalSort.slicesFor) == Seq(1, 2, 2, 4, 4, 8, 8))
+  }
+
+  /** Threads inside a run-generation slice right now. */
+  private def slicesRunning: Seq[Thread] =
+    Thread.getAllStackTraces.asScala.collect {
+      case (t, frames) if frames.exists(_.getClassName.startsWith(classOf[RunGen].getName + "$Slice")) => t
+    }.toSeq
+
+  for (slices <- Seq(4, 8)) {
+    test(s"a negative key in slice 2 of $slices fails the sort as the serial sort does") {
+      // memRows 2^14: slice j of a chunk is rows [j, j + 1) * 2^14 / slices.
+      // The bad row opens slice 2 of the second chunk, after one run was
+      // written, so that slice fails at once while the others still run.
+      val memRows = 1 << 14
+      val bad = DataGen.randomRows(40000, 3, 10, seed = 9)
+      bad(memRows + 2 * memRows / slices) = ERow(Array(4L, -1L, 2L))
+      def failure(slices: Int, dir: Path): IllegalArgumentException = intercept[IllegalArgumentException] {
+        ExternalSort.sort(bad.iterator, 3, 0, memRows, new OvcStats, new SpillStats, false,
+                          ExternalSort.DefaultFanIn, dir, slices)
+      }
+      val dir = Files.createTempDirectory("sort-spec")
+      val split = failure(slices, dir)
+      assert(slicesRunning.isEmpty, "a slice task still runs after the sort failed")
+      assert(split.getClass == classOf[IllegalArgumentException])
+      assert(split.getMessage.contains("column 1"), split.getMessage)
+      assert(split.getMessage == failure(1, dir).getMessage)
+      assert(runFiles(dir).isEmpty)
+      Files.delete(dir)
+    }
+  }
+
+  test("of two failing slices, the sort reports the first, as the serial sort does") {
+    val bad = DataGen.randomRows(3000, 3, 10, seed = 10)
+    bad(300) = ERow(Array(4L, 2L, -1L)) // slice 1 of 4
+    bad(600) = ERow(Array(-1L, 2L, 2L)) // slice 2 of 4
+    val messages = Seq(4, 1).map { slices =>
+      intercept[IllegalArgumentException] {
+        ExternalSort.sort(bad.iterator, 3, 0, 1000, new OvcStats, new SpillStats, false,
+                          ExternalSort.DefaultFanIn, null, slices)
+      }.getMessage
+    }
+    assert(messages.head.contains("column 2"), messages.head)
+    assert(messages.head == messages(1))
+    assert(slicesRunning.isEmpty)
+  }
+
+  test("no spill path stays live after sorts that were drained, closed or failed") {
+    val before = RunFile.livePaths
+    val rows = DataGen.randomRows(5000, 2, 30, seed = 8)
+    def sort(in: Iterator[ERow], tmpDir: Path) =
+      ExternalSort.sort(in, 2, 0, 500, new OvcStats, new SpillStats, fanIn = 4, tmpDir = tmpDir)
+    val dir = Files.createTempDirectory("sort-spec")
+    for (tmpDir <- Seq(null, dir)) {
+      assert(sort(rows.iterator, tmpDir).size == 5000)
+      val closed = sort(rows.iterator, tmpDir)
+      assert((RunFile.livePaths -- before).nonEmpty, "an open sort's runs are live")
+      closed.take(3).foreach(_ => ())
+      closed.close()
+      val failing = rows.iterator ++ Iterator(ERow(Array(-1L, 0L)))
+      intercept[IllegalArgumentException](sort(failing, tmpDir))
+      assert((RunFile.livePaths -- before).isEmpty, s"tmpDir $tmpDir")
+    }
+    assert(runFiles(dir).isEmpty)
+    Files.delete(dir)
+  }
 }

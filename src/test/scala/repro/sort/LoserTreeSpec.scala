@@ -134,4 +134,19 @@ class LoserTreeSpec extends AnyFunSuite {
       assert((stats.codeComparisons, stats.columnComparisons, stats.rowComparisons) == cmps)
     }
   }
+
+  private def emitted(tree: LoserTree): Vector[(Vector[Long], Long, Vector[Long])] =
+    tree.map(r => (r.key.toVector, r.code, r.payload.toVector)).toVector
+
+  test("a run generator reused for chunks of different sizes splits each like the whole tree") {
+    // The first chunk sizes the per-slice storage; later, smaller chunks
+    // have smaller trees and slices, and a chunk of 3 rows has fewer
+    // entries than slices.
+    val gen = new RunGen(3, new OvcStats, 4)
+    for ((n, seed) <- Seq(5000, 3000, 4097, 2500, 3, 1).zipWithIndex) {
+      val rows = DataGen.randomRows(n, 3, 6, seed = 40 + seed, payloadArity = 1)
+      val expected = emitted(LoserTree.ofRows(rows, n, 3, new OvcStats))
+      assert(emitted(gen.tree(rows, n)) == expected, s"$n rows")
+    }
+  }
 }

@@ -102,4 +102,33 @@ class RunFileSpec extends AnyFunSuite {
     assert(spill.toString == new SpillStats().toString)
     Files.delete(dir)
   }
+
+  // Slice edges around T/P for a 4096-entry tree, and a 100 k chunk whose last
+  // slice is short. Few distinct keys, so that equal keys meet across slices
+  // (lower-index tie-breaks) and dedup drops rows; payloads tell equal keys
+  // apart in the bytes.
+  private val T = 4096
+  for (p <- Seq(2, 4, 8); n <- Seq(1, 2, T / p - 1, T / p, T / p + 1, T - 1, 100000).distinct) {
+    test(s"a run generated in $p slices equals the serial run: $n rows") {
+      val dir = Files.createTempDirectory("runfile-spec")
+      for (dedup <- Seq(false, true); payloadArity <- Seq(0, 1)) {
+        val in = DataGen.randomRows(n, 3, 8, seed = n, payloadArity)
+        val serialStats = new OvcStats
+        val serialSpill = new SpillStats
+        val serial = RunFile.write(dir, 3, payloadArity, LoserTree.ofRows(in, n, 3, serialStats),
+                                   dedup, serialSpill)
+        val splitStats = new OvcStats
+        val splitSpill = new SpillStats
+        val split = RunFile.write(dir, 3, payloadArity, new RunGen(3, splitStats, p).tree(in, n),
+                                  dedup, splitSpill)
+        assert(Files.readAllBytes(split).sameElements(Files.readAllBytes(serial)),
+               s"dedup=$dedup, payload $payloadArity")
+        assert(splitSpill.toString == serialSpill.toString)
+        assert(splitStats.toString == serialStats.toString)
+        RunFile.delete(split)
+        RunFile.delete(serial)
+      }
+      Files.delete(dir)
+    }
+  }
 }
