@@ -1,5 +1,6 @@
 package repro.hash
 
+import java.io.Closeable
 import java.nio.file.Path
 
 import scala.collection.mutable
@@ -66,15 +67,28 @@ private[hash] object SpillWriter {
   val Partitions: Int = 16
   val BatchRows: Int = 65536
 
-  /** `rows`, then deletes `dir`: the reads that drain `rows` have deleted
-    * the spill files in it by then.
-    */
-  def deletingWhenDrained(rows: Iterator[ERow], dir: Path): Iterator[ERow] =
-    rows ++ { RunFile.deleteDir(dir); Iterator.empty }
-
   /** Reads one partition's files back as rows with their one-column payload. */
   def read(files: Vector[Path], arity: Int): Iterator[ERow] =
     files.iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
+}
+
+/** The output of a grace-hash operator. Closing it deletes the temporary
+  * directory the operator made, if it made one, and every spill file still
+  * in it; draining it does the same. A consumer that may stop early should
+  * close it.
+  */
+final class HashOutput private[hash] (rows: Iterator[ERow], ownDir: Path)
+    extends Iterator[ERow] with Closeable {
+  private[this] var closed = false
+
+  override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
+  override def next(): ERow = rows.next()
+
+  override def close(): Unit =
+    if (!closed) {
+      closed = true
+      if (ownDir != null) RunFile.deleteDir(ownDir)
+    }
 }
 
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table
@@ -86,14 +100,21 @@ object HashAgg {
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
     * unseen groups spill to one of the [[SpillWriter]] partitions, processed
-    * recursively after the input drains. Without a `tmpDir`, the temporary
-    * directory the operator makes is deleted once its output is drained.
+    * recursively after the input drains. Without a `tmpDir`, the operator
+    * makes a temporary directory, which its output deletes once drained or
+    * closed.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats,
-                 tmpDir: Path = null, level: Int = 0): Iterator[ERow] = {
+                 tmpDir: Path = null, level: Int = 0): HashOutput = {
     require(memGroups > 0)
     val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-agg")
+    new HashOutput(aggregate(input, arity, memGroups, spill, stats, dir, level),
+                   if (tmpDir != null) null else dir)
+  }
+
+  private def aggregate(input: Iterator[ERow], arity: Int, memGroups: Int, spill: SpillStats,
+                        stats: OvcStats, dir: Path, level: Int): Iterator[ERow] = {
     val map = new mutable.HashMap[LongsKey, Array[Long]]()
     val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 1L)
 
@@ -111,11 +132,10 @@ object HashAgg {
     }
 
     // Each spilled partition is read back, and recursed into, once reached.
-    val out = spilled.finish().filter(_.nonEmpty).foldLeft(
+    spilled.finish().filter(_.nonEmpty).foldLeft(
       map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }) { (result, files) =>
-      result ++ groupCount(SpillWriter.read(files, arity), arity, memGroups, spill, stats, dir, level + 1)
+      result ++ aggregate(SpillWriter.read(files, arity), arity, memGroups, spill, stats, dir, level + 1)
     }
-    if (tmpDir != null) out else SpillWriter.deletingWhenDrained(out, dir)
   }
 }
 
@@ -128,13 +148,24 @@ object HashJoin {
 
   /** Emit each probe row whose key occurs in the build input (both sides are
     * assumed distinct on the full key, as after duplicate removal). Without
-    * a `tmpDir`, the temporary directory a spilling join makes is deleted
-    * once its output is drained.
+    * a `tmpDir`, a join that spills makes a temporary directory, which its
+    * output deletes once drained or closed.
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
                memRows: Int, spill: SpillStats, stats: OvcStats,
-               tmpDir: Path = null, level: Int = 0): Iterator[ERow] = {
+               tmpDir: Path = null, level: Int = 0): HashOutput = {
     require(memRows > 0)
+    var made: Path = null
+    val rows = join(build, probe, arity, memRows, spill, stats, () =>
+      if (tmpDir != null) tmpDir else { made = RunFile.newTempDir("hash-join"); made }, level)
+    new HashOutput(rows, made)
+  }
+
+  /** [[semiJoin]] of one level; if it spills, it calls `dir()` once for the
+    * directory to spill to.
+    */
+  private def join(build: Iterator[ERow], probe: Iterator[ERow], arity: Int, memRows: Int,
+                   spill: SpillStats, stats: OvcStats, dir: () => Path, level: Int): Iterator[ERow] = {
     val inMem = new mutable.ArrayBuffer[ERow]()
     var overflow = false
     while (!overflow && build.hasNext) {
@@ -150,9 +181,9 @@ object HashJoin {
         set.contains(new LongsKey(r.key))
       }
     } else {
-      val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-join")
+      val d = dir()
       def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
-        val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 0L)
+        val spilled = new SpillWriter(d, arity, level, spill, emptyPayload = 0L)
         rows.foreach { r =>
           stats.hashColumnAccesses += arity
           spilled.add(r, new LongsKey(r.key).hashCode)
@@ -163,11 +194,10 @@ object HashJoin {
       val buildParts = partition(inMem.iterator ++ build)
       val probeParts = partition(probe)
 
-      val out = buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
-        semiJoin(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
-                 dir, level + 1)
+      buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
+        join(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
+             () => d, level + 1)
       }
-      if (tmpDir != null) out else SpillWriter.deletingWhenDrained(out, dir)
     }
   }
 }

@@ -58,11 +58,18 @@ object IntersectPlans {
     val stats = new OvcStats
     val spill = new SpillStats
     val t0 = System.nanoTime()
-    val d1 = HashAgg.groupCount(t1(), arity, memRows, spill, stats)
-    val d2 = HashAgg.groupCount(t2(), arity, memRows, spill, stats)
-    val joined = HashJoin.semiJoin(d2, d1, arity, memRows, spill, stats)
     var n = 0L
-    while (joined.hasNext) { joined.next(); n += 1 }
+    // Closing the operators' outputs deletes their spill directories, even
+    // if the plan fails part way.
+    val d1 = HashAgg.groupCount(t1(), arity, memRows, spill, stats)
+    try {
+      val d2 = HashAgg.groupCount(t2(), arity, memRows, spill, stats)
+      try {
+        val joined = HashJoin.semiJoin(d2, d1, arity, memRows, spill, stats)
+        try while (joined.hasNext) { joined.next(); n += 1 }
+        finally joined.close()
+      } finally d2.close()
+    } finally d1.close()
     val ms = (System.nanoTime() - t0) / 1e6
     PlanMetrics(n, ms, spill.rowsSpilled, spill.bytesSpilled, stats)
   }

@@ -2,7 +2,10 @@ package repro.sort
 
 import java.io.Closeable
 import java.nio.file.Path
-import java.util.concurrent.RecursiveAction
+import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveAction}
+import java.util.concurrent.atomic.AtomicBoolean
+
+import scala.util.control.ControlThrowable
 
 import repro.core.{CodedRow, ERow, OvcStats}
 import repro.ops.DedupOp
@@ -13,9 +16,10 @@ import repro.ops.DedupOp
   * (possibly multi-level) merge with a loser tree produces the sorted, coded
   * output stream. Every tree whose output is spilled is drained straight into
   * its run file, with no row object per row. Run generation of a spilling
-  * sort uses up to P threads, P the largest power of two not above
-  * `Runtime.availableProcessors` (see [[RunGen]]); everything else runs on
-  * the calling thread.
+  * sort splits each chunk into P slices, P the largest power of two not
+  * above `Runtime.availableProcessors`: pool threads sort slices while the
+  * calling thread merges their rows as they come and writes the run (see
+  * [[RunGen]]). Everything else runs on the calling thread.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
@@ -78,8 +82,9 @@ object ExternalSort {
     var merged = Vector.empty[Path]
     try {
       val gen = new RunGen(arity, stats, slices)
+      val write: LoserTree => Path = RunFile.write(dir, arity, payloadArity, _, dedup, spill)
       while (n > 0) {
-        runs :+= RunFile.write(dir, arity, payloadArity, gen.tree(chunk, n), dedup, spill)
+        runs :+= gen.run(chunk, n)(write)
         n = fill()
       }
 
@@ -108,35 +113,58 @@ object ExternalSort {
     if (dedup) DedupOp(rows) else rows
 }
 
-/** Run generation for one spilling sort: [[tree]] turns a chunk into the
-  * loser tree whose drain is the chunk's sorted run.
+/** Run generation for one spilling sort: [[run]] turns a chunk into the
+  * loser tree whose drain is the chunk's sorted run, and drains it.
   *
   * With `slices` = P > 1, the chunk's tree of T entries (T = `n` padded to a
   * power of two) is split below its top log2 P levels. Slice j is the
   * subtree over entries `[j T/P, (j+1) T/P)` of the rows present. A subtree
   * of a loser tree merges its children's streams with codes relative to its
   * own last output, and changes only when its own output is taken. So each
-  * slice is drained on its own, and a P-entry tree over the sorted slices
-  * then plays exactly the top levels' matches: the rows, codes, fences,
-  * lower-index tie-breaks and comparison counts equal those of the serial
-  * tree. The caller drains slice 0; slices 1 to P-1 run as tasks on
-  * `ForkJoinPool.commonPool()`, each into its own range of the shared
-  * `keys`, `codes` and `payloads` arrays and its own `OvcStats`, and never
-  * wait on anything. The caller joins every task, even after a failure,
-  * before it throws or returns, so no task reads the chunk once `tree` is
-  * done with it. The sorted slices keep each row's key and payload arrays
-  * rather than its index, so the top tree reads them in order without
-  * touching the row objects again.
+  * slice is drained on its own, into its own range of the shared `keys`,
+  * `codes` and `payloads` arrays and its own `OvcStats`, and a P-entry top
+  * tree over the sorted slices plays exactly the top levels' matches: the
+  * rows, codes, fences, lower-index tie-breaks and comparison counts equal
+  * those of the serial tree. The sorted slices keep each row's key and
+  * payload arrays rather than its index, so the top tree reads them in
+  * order without touching the row objects again.
   *
-  * Each slice keeps one [[LoserTree.Storage]] for all chunks, and the
-  * sorted slices share one set of arrays for all chunks.
+  * The top tree does not wait for whole slices: each slice publishes how
+  * far it has got every few dozen rows ([[LoserTree.Progress]]), and the top
+  * tree reads a slice's rows as they are published. The first slices, as
+  * many as the pool they land in has workers, are forked to that pool (the
+  * caller's own pool if it is a worker, else `ForkJoinPool.commonPool()`);
+  * the caller sorts the slices left over, then builds and drains the top
+  * tree while the forked slices still run. On 4 cores that forks 3 slices
+  * and leaves the caller the last, shortest one. Slices never wait on
+  * anything. The caller, waiting on a slice, spins; if no worker has
+  * started the slice after [[RunGen.ClaimAfterNanos]], the caller claims it
+  * and sorts it itself, so run generation finishes even when the caller is
+  * the only worker of its pool. Each slice is sorted once, by whichever
+  * thread claims it first.
+  *
+  * A failed slice stops the top tree. The caller joins every task, even
+  * after a failure, before it throws or returns, so no task reads the chunk
+  * once `run` is done with it; it then throws the failure of the first
+  * failing slice in entry order, as the serial tree would.
+  *
+  * The slice tasks, their bounds and progress counters, the top tree's
+  * storage and each slice's tree storage are made once and reused for every
+  * chunk, and the sorted slices share one set of arrays for all chunks.
   */
 private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
+  import RunGen._
+
   require(slices > 0 && Integer.bitCount(slices) == 1, s"slices $slices is not a power of two")
 
   private[this] val storages = new Array[LoserTree.Storage](slices)
-  // Slice j's sorted rows, in [j T/P, (j+1) T/P): their keys, codes and
-  // payloads.
+  private[this] val top = new LoserTree.Storage(slices)
+  private[this] val bounds = new Array[Int](slices + 1)
+  private[this] val tasks = Array.tabulate(slices)(new Slice(_))
+  private[this] val progress = new Waiter
+  // The chunk being sorted, and slice j's sorted rows in
+  // [bounds(j), bounds(j + 1)): their keys, codes and payloads.
+  private[this] var chunk: Array[ERow] = null
   private[this] var keys = new Array[Array[Long]](0)
   private[this] var codes = Array.emptyLongArray
   private[this] var payloads = new Array[Array[Long]](0)
@@ -146,44 +174,97 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
     storages(j)
   }
 
-  /** The tree whose drain is the sorted run of `chunk(0 until n)`; it reads
-    * the rows' key and payload arrays, not `chunk`, and must be drained
-    * before the next call. Throws the exception of the first slice (in entry
+  /** Drains the tree whose drain is the sorted run of `chunk(0 until n)`
+    * with `drain`, and returns what `drain` returns. The tree reads the
+    * rows' key and payload arrays, not `chunk`, and is done with once
+    * `drain` returns. Throws the exception of the first slice (in entry
     * order) that fails, such as a key outside [0, 2^48).
     */
-  def tree(chunk: Array[ERow], n: Int): LoserTree = {
+  def run[A](chunk: Array[ERow], n: Int)(drain: LoserTree => A): A = {
     val t = LoserTree.padded(n)
     val p = math.min(slices, t)
     val w = t / p
-    if (p == 1) return LoserTree.ofRows(chunk, 0, n, arity, stats, storage(0, w))
+    if (p == 1) return drain(LoserTree.ofRows(chunk, 0, n, arity, stats, storage(0, w)))
 
     if (codes.length < n) {
       keys = new Array[Array[Long]](n); codes = new Array[Long](n); payloads = new Array[Array[Long]](n)
     }
-    val bounds = Array.tabulate(p + 1)(j => math.min(n, j * w))
-    val tasks = (0 until p).takeWhile(j => bounds(j) < n)
-      .map(j => new Slice(chunk, bounds(j), bounds(j + 1), storage(j, w))).toArray
-    var forked = 1
+    this.chunk = chunk
+    var j = 0
+    while (j <= p) { bounds(j) = math.min(n, j * w); j += 1 }
+    var q = 0 // slices holding rows
+    while (q < p && bounds(q) < n) { tasks(q).reset(bounds(q), bounds(q + 1), storage(q, w)); q += 1 }
+    val forked = math.min(q, workers())
+    var started = 0
+    var out = null.asInstanceOf[A]
+    var error: Throwable = null
     try {
-      while (forked < tasks.length) { tasks(forked).fork(); forked += 1 }
-      tasks(0).run()
-    } finally {
-      while (forked > 1) { forked -= 1; tasks(forked).quietlyJoin() }
+      while (started < forked) { tasks(started).fork(); started += 1 }
+      j = forked
+      while (j < q) { tasks(j).claim(); j += 1 }
+      out = drain(LoserTree.ofSlices(keys, codes, payloads, bounds, p, progress, arity, stats, top))
+    } catch { case t: Throwable => error = t }
+    finally {
+      while (started > 0) { started -= 1; tasks(started).quietlyJoin() }
+      this.chunk = null
     }
-    tasks.foreach(s => if (s.failure != null) throw s.failure)
-    tasks.foreach(s => stats.add(s.stats))
-    LoserTree.ofSlices(keys, codes, payloads, bounds, arity, stats)
+    j = 0
+    while (j < q) { if (tasks(j).failure != null) throw tasks(j).failure; j += 1 }
+    if (error != null) throw error
+    j = 0
+    while (j < q) { stats.add(tasks(j).stats); j += 1 }
+    out
   }
 
-  /** Drains the tree over `chunk(lo until hi)` into `keys`, `codes` and
-    * `payloads`.
+  /** Waits for the slices' rows that the top tree reads; see the class
+    * comment.
     */
-  private final class Slice(chunk: Array[ERow], lo: Int, hi: Int, storage: LoserTree.Storage)
-      extends RecursiveAction {
+  private final class Waiter extends LoserTree.Progress(slices) {
+    def await(e: Int, i: Int): Int = {
+      var end = published(e)
+      var spins = 0
+      var deadline = 0L
+      while (end <= i) {
+        if (end == Failed) throw Stopped
+        spins += 1
+        if ((spins & 63) != 0) Thread.onSpinWait()
+        else if (deadline == 0L) deadline = System.nanoTime() + ClaimAfterNanos
+        else if (System.nanoTime() - deadline > 0) { tasks(e).claim(); Thread.`yield`() }
+        end = published(e)
+      }
+      end
+    }
+  }
+
+  /** Sorts slice `j` of the chunk into `keys`, `codes` and `payloads`,
+    * publishing its progress as it goes.
+    */
+  private final class Slice(j: Int) extends RecursiveAction {
+    private[this] val claimed = new AtomicBoolean
     val stats = new OvcStats
     var failure: Throwable = null
+    private[this] var lo = 0
+    private[this] var hi = 0
+    private[this] var storage: LoserTree.Storage = null
 
-    def run(): Unit =
+    /** Readies the slice for rows `[lo, hi)` of the next chunk; the task
+      * must not be running or forked.
+      */
+    def reset(lo: Int, hi: Int, storage: LoserTree.Storage): Unit = {
+      reinitialize()
+      claimed.set(false)
+      stats.reset()
+      failure = null
+      this.lo = lo; this.hi = hi; this.storage = storage
+      progress.publish(j, lo)
+    }
+
+    /** Sorts the slice, unless a thread has claimed it already. */
+    def claim(): Unit = if (!claimed.get && claimed.compareAndSet(false, true)) sort()
+
+    override def compute(): Unit = claim()
+
+    private def sort(): Unit =
       try {
         val tree = LoserTree.ofRows(chunk, lo, hi - lo, arity, stats, storage)
         val ks = keys
@@ -196,10 +277,36 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
           ps(i) = tree.headPayload
           tree.advance()
           i += 1
+          if ((i & PublishMask) == 0) progress.publish(j, i)
         }
-      } catch { case t: Throwable => failure = t }
+        progress.publish(j, i)
+      } catch {
+        case t: Throwable =>
+          failure = t
+          progress.publish(j, Failed)
+      }
+  }
+}
 
-    override def compute(): Unit = run()
+private[sort] object RunGen {
+
+  /** How long the caller waits on a slice no worker has started before it
+    * sorts the slice itself.
+    */
+  val ClaimAfterNanos: Long = 1000000L
+
+  // A slice publishes its progress whenever its end is a multiple of 32.
+  private val PublishMask = 31
+  // The progress a failed slice publishes.
+  private val Failed = -1
+
+  /** Stops a top tree whose slice failed; the slice's failure is thrown. */
+  private object Stopped extends ControlThrowable
+
+  /** Workers of the pool a task forked here lands in. */
+  private def workers(): Int = {
+    val pool = ForkJoinTask.getPool
+    if (pool != null) pool.getParallelism else ForkJoinPool.getCommonPoolParallelism
   }
 }
 

@@ -1,5 +1,7 @@
 package repro.sort
 
+import java.util.concurrent.atomic.AtomicIntegerArray
+
 import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
 
 /** Tree-of-losers priority queue with offset-value coding (paper §3).
@@ -31,7 +33,8 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   * The entries take their rows from a [[LoserTree.Leaves]] source: coded
   * input streams, one per entry; a plain row array, one row per entry
   * ([[LoserTree.ofRows]]); or sorted slices kept in key, code and payload
-  * arrays, read in place ([[LoserTree.ofSlices]]). Besides the iterator, the tree offers its
+  * arrays, read in place as their producers publish them
+  * ([[LoserTree.ofSlices]]). Besides the iterator, the tree offers its
   * current winner in place ([[headKey]], [[headCode]], [[headPayload]]) and
   * [[advance]], so that [[RunFile]] can write a run, or [[RunGen]] a sorted
   * slice, from it without building a row object per row.
@@ -165,15 +168,20 @@ object LoserTree {
                            storage: Storage): LoserTree =
     new LoserTree(new Singles(rows, from, n, arity), arity, stats, storage)
 
-  /** A tree over sorted slices, read in place: entry j's rows are the keys
-    * `keys(i)`, codes `codes(i)` and payloads `payloads(i)` for `i` in
-    * `[bounds(j), bounds(j + 1))`, each code relative to the slice's row
-    * before it (the first relative to "-inf").
+  /** A tree over `count` sorted slices, read in place: entry j's rows are
+    * the keys `keys(i)`, codes `codes(i)` and payloads `payloads(i)` for `i`
+    * in `[bounds(j), bounds(j + 1))`, each code relative to the slice's row
+    * before it (the first relative to "-inf"). The tree reads row `i` of
+    * entry j only once `progress` shows it published, so the slices may
+    * still be being written while the tree is built and drained. It plays
+    * a match only once both its rows are present, so it plays the same
+    * matches in the same order however far the producers have got.
     */
   private[sort] def ofSlices(keys: Array[Array[Long]], codes: Array[Long],
-                             payloads: Array[Array[Long]], bounds: Array[Int], arity: Int,
-                             stats: OvcStats): LoserTree =
-    new LoserTree(new Slices(keys, codes, payloads, bounds), arity, stats, null)
+                             payloads: Array[Array[Long]], bounds: Array[Int], count: Int,
+                             progress: Progress, arity: Int, stats: OvcStats,
+                             storage: Storage): LoserTree =
+    new LoserTree(new Slices(keys, codes, payloads, bounds, count, progress), arity, stats, storage)
 
   /** Entries of a tree over `n` inputs: `n` rounded up to a power of two. */
   private[sort] def padded(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
@@ -231,15 +239,45 @@ object LoserTree {
     def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = Ovc.LateFence
   }
 
-  /** See [[ofSlices]]. Entry j reads its slice front to back. */
+  /** How far the producers of sorted slices have got. Slice e's producer
+    * writes its rows in order, then stores the end of the rows written so
+    * far with [[publish]], a release store; a reader that loads that end
+    * with [[published]], an acquire load, sees every row before it. The
+    * counters lie two cache lines apart, so that a producer's stores do not
+    * slow down the other slices' readers and producers.
+    */
+  private[sort] abstract class Progress(slices: Int) {
+    private[this] val ends = new AtomicIntegerArray((slices + 2) << Progress.Spacing)
+
+    final def publish(e: Int, end: Int): Unit = ends.setRelease((e + 1) << Progress.Spacing, end)
+    final def published(e: Int): Int = ends.getAcquire((e + 1) << Progress.Spacing)
+
+    /** Returns slice `e`'s published end once it lies beyond row `i`,
+      * waiting for the producer as long as it must; may instead throw,
+      * which stops the reading tree.
+      */
+    def await(e: Int, i: Int): Int
+  }
+
+  private[sort] object Progress {
+    // log2 of the ints between two counters: 32 ints, 128 bytes.
+    private val Spacing = 5
+  }
+
+  /** See [[ofSlices]]. Entry e reads its slice front to back; rows before
+    * `limit(e)` are known to be published, so it asks `progress` again only
+    * once it reaches that limit.
+    */
   private final class Slices(sortedKeys: Array[Array[Long]], codes: Array[Long],
-                             sortedPayloads: Array[Array[Long]], bounds: Array[Int])
-      extends Leaves(bounds.length - 1) {
+                             sortedPayloads: Array[Array[Long]], bounds: Array[Int], count: Int,
+                             progress: Progress) extends Leaves(count) {
     private[this] val pos = java.util.Arrays.copyOf(bounds, count)
+    private[this] val limit = java.util.Arrays.copyOf(bounds, count)
 
     def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
       val i = pos(e)
       if (i < bounds(e + 1)) {
+        if (i == limit(e)) limit(e) = progress.await(e, i)
         keys(e) = sortedKeys(i); payloads(e) = sortedPayloads(i)
         pos(e) = i + 1
         codes(i)

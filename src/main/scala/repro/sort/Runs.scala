@@ -34,7 +34,9 @@ final class SpillStats {
   * until it is deleted through [[delete]] or [[deleteDir]] (or by a reader
   * that is drained or closed); one shutdown hook deletes the paths still live
   * when the JVM exits. The set holds only live paths, so it does not grow
-  * with the number of runs a long-lived JVM writes.
+  * with the number of runs a long-lived JVM writes. Deleting a run file
+  * closes the reader still open on it, if any, so that deleting an
+  * abandoned consumer's directory releases its files.
   */
 object RunFile {
 
@@ -43,6 +45,8 @@ object RunFile {
   private def rowBytes(arity: Int, payloadArity: Int): Int = 1 + 8 * (arity + 1 + payloadArity)
 
   private val live = ConcurrentHashMap.newKeySet[Path]()
+  // The open reader of each run file that has one.
+  private val readers = new ConcurrentHashMap[Path, Reader]()
 
   Runtime.getRuntime.addShutdownHook(new Thread(() =>
     // Deepest first: a directory's files go before it.
@@ -60,9 +64,11 @@ object RunFile {
   }
 
   /** Deletes the spill file or empty directory `path`, if it exists, and
-    * drops it from the live spill paths.
+    * drops it from the live spill paths; closes its reader, if one is open.
     */
   private[repro] def delete(path: Path): Unit = {
+    val r = readers.remove(path)
+    if (r != null) r.close()
     Files.deleteIfExists(path)
     live.remove(path)
   }
@@ -163,6 +169,7 @@ object RunFile {
     private[this] val ch = FileChannel.open(path, StandardOpenOption.READ)
     private[this] var closed = false
     private[this] var pending: CodedRow = null
+    readers.put(path, this)
 
     /** Makes at least `n` bytes readable. */
     private def fill(n: Int): Unit =

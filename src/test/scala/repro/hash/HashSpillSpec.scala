@@ -1,5 +1,6 @@
 package repro.hash
 
+import java.io.File
 import java.nio.file.{Files, Path, Paths}
 
 import scala.jdk.CollectionConverters._
@@ -7,7 +8,7 @@ import scala.jdk.CollectionConverters._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
-import repro.sort.SpillStats
+import repro.sort.{RunFile, SpillStats}
 
 /** Exact spill and hashing counts of the grace-hash operators on fixed
   * inputs that overflow memory and recurse.
@@ -59,5 +60,33 @@ class HashSpillSpec extends AnyFunSuite {
     assert(joined == keys.length)
     assert(spill.runsWritten > 0)
     assert((hashDirs() -- before).isEmpty)
+  }
+
+  test("a spilling hash output abandoned after 10 rows and closed leaves no spill path") {
+    val before = RunFile.livePaths
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    val groups = HashAgg.groupCount(rows.iterator, 3, 50, new SpillStats, new OvcStats)
+    val keys = DataGen.randomRows(3000, 2, 80, seed = 12).map(_.key.toVector).distinct.map(k => ERow(k.toArray))
+    val joined = HashJoin.semiJoin(keys.iterator, keys.iterator, 2, 20, new SpillStats, new OvcStats)
+    for ((name, out) <- Seq("group count" -> groups, "semi join" -> joined)) {
+      val live = RunFile.livePaths -- before
+      (1 to 10).foreach(_ => out.next())
+      assert(out.hasNext, name)
+      val open = openFiles()
+      out.close()
+      assert(!out.hasNext, name)
+      assert((live -- RunFile.livePaths).nonEmpty, s"$name: closing deleted nothing")
+      // The join reads its probe partitions as its output is pulled, so it
+      // has run files open after 10 rows; closing the output closes them.
+      if (name == "semi join") assert(openFiles() < open, s"$name: open files $open, then ${openFiles()}")
+    }
+    assert((RunFile.livePaths -- before).isEmpty)
+  }
+
+  /** This JVM's open file descriptors, where the OS lists them. */
+  private def openFiles(): Int = {
+    val fds = new File("/proc/self/fd")
+    assume(fds.isDirectory, "no /proc/self/fd")
+    fds.list().length
   }
 }

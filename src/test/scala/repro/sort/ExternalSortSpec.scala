@@ -1,16 +1,23 @@
 package repro.sort
 
 import java.nio.file.{Files, Path}
+import java.util.concurrent.{Callable, CountDownLatch, ExecutionException, ForkJoinPool, FutureTask, TimeUnit}
 
 import scala.jdk.CollectionConverters._
 
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 import repro.Ref
 import repro.core._
 
 /** External merge sort: spilling, multi-level merges, in-sort dedup. */
-class ExternalSortSpec extends AnyFunSuite {
+class ExternalSortSpec extends AnyFunSuite with TimeLimits {
+
+  // Sorts that could livelock run off the test thread, which waits for them
+  // interruptibly, so that a time limit fails the test at once.
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private def run(rows: Array[ERow], arity: Int, memRows: Int,
                   dedup: Boolean = false, fanIn: Int = ExternalSort.DefaultFanIn,
@@ -263,5 +270,92 @@ class ExternalSortSpec extends AnyFunSuite {
     }
     assert(runFiles(dir).isEmpty)
     Files.delete(dir)
+  }
+
+  /** The result of `task`, run on a thread of its own. */
+  private def offThread[T](task: Callable[T]): T = {
+    val f = new FutureTask[T](task)
+    val t = new Thread(f, "sort-spec")
+    t.setDaemon(true)
+    t.start()
+    try f.get() catch { case e: ExecutionException => throw e.getCause }
+  }
+
+  // 20,000 rows in chunks of 7,000, 7,000 and 6,000: in 4 slices of a
+  // 8192-entry tree, 2048, 2048, 2048 and 856 rows, then 2048, 2048, 1904
+  // and none.
+  private val poolRows = DataGen.randomRows(20000, 3, 12, seed = 33, payloadArity = 1)
+
+  /** A spilling sort of `poolRows` in `slices` slices: its run files' bytes
+    * (in byte order), its output rows, comparison counts and spill counts.
+    */
+  private def spilled(slices: Int): (Seq[Vector[Byte]], Vector[(Vector[Long], Long, Vector[Long])],
+                                     String, String) = {
+    val dir = Files.createTempDirectory("sort-spec")
+    val stats = new OvcStats
+    val spill = new SpillStats
+    val sorted = ExternalSort.sort(poolRows.iterator, 3, 1, 7000, stats, spill, false,
+                                   ExternalSort.DefaultFanIn, dir, slices)
+    // Every run is written before the sort returns; the final merge is lazy.
+    val runs = runFiles(dir).map(Files.readAllBytes)
+      .sortWith(java.util.Arrays.compare(_, _) < 0).map(_.toVector)
+    val out = sorted.map(r => (r.key.toVector, r.code, r.payload.toVector)).toVector
+    Files.delete(dir)
+    (runs, out, stats.toString, spill.toString)
+  }
+
+  private lazy val serialSpilled = spilled(1)
+
+  test("a split sort whose caller is the only worker of its pool finishes like the serial sort") {
+    failAfter(60.seconds) {
+      // The forked slice lands in the caller's own queue, which no other
+      // thread serves: the caller must claim it and sort it itself.
+      val pool = new ForkJoinPool(1)
+      try assert(pool.submit(() => spilled(4)).get() == serialSpilled)
+      finally pool.shutdown()
+    }
+  }
+
+  test("split sorts on every worker of the common pool finish like the serial sort") {
+    failAfter(60.seconds) {
+      // One sort per worker, each started only once every worker holds one,
+      // so that no worker is free to take another sort's slices.
+      val workers = ForkJoinPool.getCommonPoolParallelism
+      val started = new CountDownLatch(workers)
+      val sorts = (0 until workers).map { _ =>
+        ForkJoinPool.commonPool().submit { () =>
+          started.countDown()
+          started.await(10, TimeUnit.SECONDS)
+          spilled(4)
+        }
+      }
+      sorts.foreach(s => assert(s.get() == serialSpilled))
+    }
+  }
+
+  test("a slice that fails while the top tree waits on it fails the sort as the serial sort does") {
+    failAfter(60.seconds) {
+      // memRows 12,500 in 4 slices of a 16,384-entry tree: 4096, 4096, 4096
+      // and 212 rows. The caller sorts the short last slice and is soon
+      // building the top tree, which waits on slice 1's first row; the bad
+      // row lies late in slice 1 of the second chunk, so that slice fails
+      // only near the end of its tree's build, after one run was written.
+      val memRows = 12500
+      val bad = DataGen.randomRows(40000, 3, 10, seed = 34)
+      bad(memRows + 2 * 4096 - 7) = ERow(Array(4L, 3L, -1L))
+      def failure(slices: Int, dir: Path): IllegalArgumentException = offThread { () =>
+        intercept[IllegalArgumentException] {
+          ExternalSort.sort(bad.iterator, 3, 0, memRows, new OvcStats, new SpillStats, false,
+                            ExternalSort.DefaultFanIn, dir, slices)
+        }
+      }
+      val dir = Files.createTempDirectory("sort-spec")
+      val split = failure(4, dir)
+      assert(slicesRunning.isEmpty, "a slice task still runs after the sort failed")
+      assert(split.getMessage.contains("column 2"), split.getMessage)
+      assert(split.getMessage == failure(1, dir).getMessage)
+      assert(runFiles(dir).isEmpty)
+      Files.delete(dir)
+    }
   }
 }

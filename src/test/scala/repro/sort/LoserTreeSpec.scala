@@ -1,12 +1,18 @@
 package repro.sort
 
+import java.util.concurrent.atomic.AtomicLong
+
+import org.scalatest.concurrent.{Signaler, ThreadSignaler, TimeLimits}
 import org.scalatest.funsuite.AnyFunSuite
+import org.scalatest.time.SpanSugar._
 
 import repro.Ref
 import repro.core._
 
 /** Tree-of-losers priority queue with offset-value coding. */
-class LoserTreeSpec extends AnyFunSuite {
+class LoserTreeSpec extends AnyFunSuite with TimeLimits {
+
+  private implicit val signaler: Signaler = ThreadSignaler
 
   private def split[T](rows: Vector[T], k: Int): IndexedSeq[Vector[T]] =
     (0 until k).map(i => rows.zipWithIndex.filter(_._2 % k == i).map(_._1))
@@ -146,7 +152,81 @@ class LoserTreeSpec extends AnyFunSuite {
     for ((n, seed) <- Seq(5000, 3000, 4097, 2500, 3, 1).zipWithIndex) {
       val rows = DataGen.randomRows(n, 3, 6, seed = 40 + seed, payloadArity = 1)
       val expected = emitted(LoserTree.ofRows(rows, n, 3, new OvcStats))
-      assert(emitted(gen.tree(rows, n)) == expected, s"$n rows")
+      assert(gen.run(rows, n)(emitted) == expected, s"$n rows")
+    }
+  }
+
+  test("a tree over slices published in bursts of 1, 7 and 64 rows equals the whole tree") {
+    failAfter(60.seconds) {
+      // 3000 rows in 4 slices of a 4096-entry tree: 1024, 1024, 952 and 0.
+      val n = 3000
+      val p = 4
+      val bounds = Array.tabulate(p + 1)(j => math.min(n, j * 1024))
+      val rows = DataGen.randomRows(n, 3, 6, seed = 50, payloadArity = 1)
+      val wholeStats = new OvcStats
+      val expected = emitted(LoserTree.ofRows(rows, n, 3, wholeStats))
+      // Each slice sorted up front, as a run generator's slice task sorts it.
+      val stats = new OvcStats
+      val sorted = (0 until p).map { j =>
+        val size = bounds(j + 1) - bounds(j)
+        if (size == 0) Vector.empty[CodedRow]
+        else LoserTree.ofRows(rows, bounds(j), size, 3, stats, null).toVector
+      }
+      val keys = new Array[Array[Long]](n)
+      val codes = new Array[Long](n)
+      val payloads = new Array[Array[Long]](n)
+
+      // The fake producer copies the next burst of a slice into the shared
+      // arrays and publishes it only when the tree waits for that slice's
+      // next row, so every read of a row not yet published shows as a null
+      // key or a wrong code.
+      val request = new AtomicLong(-1L) // entry << 32 | row the tree waits for
+      var awaits = 0
+      val progress = new LoserTree.Progress(p) {
+        def await(e: Int, i: Int): Int = {
+          awaits += 1
+          request.set(e.toLong << 32 | i)
+          var end = published(e)
+          while (end <= i) {
+            if (Thread.interrupted()) throw new InterruptedException
+            Thread.onSpinWait()
+            end = published(e)
+          }
+          end
+        }
+      }
+      (0 until p).foreach(j => progress.publish(j, bounds(j)))
+      val sizes = Array(1, 7, 64)
+      @volatile var done = false
+      val producer = new Thread(() => {
+        val released = bounds.clone()
+        val burst = new Array[Int](p)
+        while (!done) {
+          val req = request.get
+          val e = (req >>> 32).toInt
+          if (req >= 0 && released(e) == req.toInt) {
+            val end = math.min(bounds(e + 1), released(e) + sizes(burst(e) % sizes.length))
+            for (i <- released(e) until end) {
+              val r = sorted(e)(i - bounds(e))
+              keys(i) = r.key; codes(i) = r.code; payloads(i) = r.payload
+            }
+            progress.publish(e, end)
+            released(e) = end
+            burst(e) += 1
+          } else Thread.onSpinWait()
+        }
+      })
+      producer.setDaemon(true)
+      producer.start()
+      val out = try emitted(LoserTree.ofSlices(keys, codes, payloads, bounds, p, progress, 3, stats, null))
+                finally { done = true; producer.join() }
+
+      assert(out == expected)
+      assert(stats.toString == wholeStats.toString)
+      // One wait per burst: the tree never found a burst it had not asked for.
+      def bursts(size: Int, k: Int = 0): Int =
+        if (size <= 0) 0 else 1 + bursts(size - sizes(k % sizes.length), k + 1)
+      assert(awaits == (0 until p).map(j => bursts(bounds(j + 1) - bounds(j))).sum)
     }
   }
 }

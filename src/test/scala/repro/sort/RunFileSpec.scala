@@ -119,8 +119,8 @@ class RunFileSpec extends AnyFunSuite {
                                    dedup, serialSpill)
         val splitStats = new OvcStats
         val splitSpill = new SpillStats
-        val split = RunFile.write(dir, 3, payloadArity, new RunGen(3, splitStats, p).tree(in, n),
-                                  dedup, splitSpill)
+        val split = new RunGen(3, splitStats, p).run(in, n)(
+                      RunFile.write(dir, 3, payloadArity, _, dedup, splitSpill))
         assert(Files.readAllBytes(split).sameElements(Files.readAllBytes(serial)),
                s"dedup=$dedup, payload $payloadArity")
         assert(splitSpill.toString == serialSpill.toString)
