@@ -61,6 +61,12 @@ object MergeJoinOp {
     private[this] var rRow: CodedRow = null
     private[this] var rCap: Long = Ovc.LateFence
 
+    // The right match group's suffixes and payloads, which only inner and
+    // outer joins read; a semi or anti join only skips the group.
+    private[this] val group =
+      if (jt == JoinType.Inner || jt == JoinType.LeftOuter) mutable.ArrayBuffer.empty[(Array[Long], Array[Long])]
+      else null
+
     advL(); advR()
 
     private def advL(): Unit =
@@ -71,15 +77,18 @@ object MergeJoinOp {
       if (right.hasNext) { rRow = right.next(); rCap = Ovc.recode(rRow.code, rightArity, joinLen) }
       else { rRow = null; rCap = Ovc.LateFence }
 
+    private def addR(): Unit = if (group != null) group += ((rRow.key.drop(joinLen), rRow.payload))
+
     private def processMatch(): Unit = {
       // Collect the right-side group: successors whose capped code is the
       // duplicate code share the join key — a single integer test, no columns.
-      val group = mutable.ArrayBuffer((rRow.key.drop(joinLen), rRow.payload))
+      if (group != null) group.clear()
+      addR()
       advR()
       var more = rRow != null
       while (more) {
         stats.codeComparisons += 1
-        if (Ovc.isDup(rCap)) { group += ((rRow.key.drop(joinLen), rRow.payload)); advR(); more = rRow != null }
+        if (Ovc.isDup(rCap)) { addR(); advR(); more = rRow != null }
         else more = false
       }
       // Emit for every left row of the matching group, likewise detected by a

@@ -8,7 +8,6 @@ import java.util.concurrent.atomic.AtomicBoolean
 import scala.util.control.ControlThrowable
 
 import repro.core.{CodedRow, ERow, OvcStats}
-import repro.ops.DedupOp
 
 /** External merge sort with tree-of-losers priority queues and offset-value
   * coding (paper §3, §5): run generation merges single-row runs (so OVCs in
@@ -26,7 +25,14 @@ import repro.ops.DedupOp
   * spilling (run generation) and in every merge, so duplicates are never
   * spilled twice and the final stream is distinct. Dropping a duplicate never
   * perturbs the code chain because the duplicate code 0 is the identity of the
-  * max-fold of §4.1.
+  * max-fold of §4.1. Run generation's writer drops them as it drains its
+  * tree; the merge trees, and the tree of an input that fits in memory,
+  * skip them themselves, so that the final tree builds row objects only for
+  * the rows it emits.
+  *
+  * Merges decode each run's rows straight into their tree's entries
+  * ([[LoserTree.ofRuns]]): a row of a run costs a key array and a row object
+  * only if the final merge emits it.
   */
 object ExternalSort {
 
@@ -36,7 +42,8 @@ object ExternalSort {
     *
     * @param memRows  rows that fit in "memory" — the run-generation chunk size
     * @param dedup    drop duplicate rows as early as possible (in-sort dedup)
-    * @param fanIn    maximum merge fan-in before an extra merge level is added
+    * @param fanIn    maximum merge fan-in before an extra merge level is added;
+    *                 at least 2
     * @param tmpDir   directory for the run files; by default the sort makes,
     *                 and finally deletes, a temporary directory of its own
     */
@@ -58,6 +65,7 @@ object ExternalSort {
                          stats: OvcStats, spill: SpillStats, dedup: Boolean, fanIn: Int,
                          tmpDir: Path, slices: Int): SortedStream = {
     require(memRows > 0, "memRows must be positive")
+    require(fanIn >= 2, s"fanIn $fanIn: a merge needs at least 2 inputs")
     // One chunk buffer for all runs, grown up to memRows as rows arrive.
     var chunk = new Array[ERow](math.min(memRows, 1024))
     def fill(): Int = {
@@ -73,7 +81,7 @@ object ExternalSort {
     var n = fill()
     if (n == 0) return new SortedStream(Iterator.empty, Nil, null)
     if (!input.hasNext) // fits in memory: no spill
-      return new SortedStream(dedupIf(LoserTree.ofRows(chunk, n, arity, stats), dedup), Nil, null)
+      return new SortedStream(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup), Nil, null)
 
     val ownDir = if (tmpDir == null) RunFile.newTempDir("ovc-sort") else null
     val dir = if (tmpDir != null) tmpDir else ownDir
@@ -92,15 +100,16 @@ object ExternalSort {
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
         runs.grouped(fanIn).foreach { g =>
-          val tree = new LoserTree(g.map(p => RunFile.reader(p, arity, payloadArity)), arity, stats)
-          merged :+= RunFile.write(dir, arity, payloadArity, tree, dedup, spill)
+          val tree = LoserTree.ofRuns(g.map(RunFile.reader(_, arity, payloadArity)), arity,
+                                      payloadArity, stats, dedup)
+          merged :+= write(tree)
         }
         runs = merged
         merged = Vector.empty
       }
 
-      val readers = runs.map(p => RunFile.reader(p, arity, payloadArity))
-      new SortedStream(dedupIf(new LoserTree(readers, arity, stats), dedup), readers, ownDir)
+      val readers = runs.map(RunFile.reader(_, arity, payloadArity))
+      new SortedStream(LoserTree.ofRuns(readers, arity, payloadArity, stats, dedup), readers, ownDir)
     } catch {
       case t: Throwable =>
         if (ownDir != null) RunFile.deleteDir(ownDir)
@@ -108,9 +117,6 @@ object ExternalSort {
         throw t
     }
   }
-
-  private def dedupIf(rows: Iterator[CodedRow], dedup: Boolean): Iterator[CodedRow] =
-    if (dedup) DedupOp(rows) else rows
 }
 
 /** Run generation for one spilling sort: [[run]] turns a chunk into the
@@ -125,9 +131,10 @@ object ExternalSort {
   * `codes` and `payloads` arrays and its own `OvcStats`, and a P-entry top
   * tree over the sorted slices plays exactly the top levels' matches: the
   * rows, codes, fences, lower-index tie-breaks and comparison counts equal
-  * those of the serial tree. The sorted slices keep each row's key and
-  * payload arrays rather than its index, so the top tree reads them in
-  * order without touching the row objects again.
+  * those of the serial tree. The sorted slices copy each row's key into one
+  * flat array, `arity` longs a row, and keep its payload array, so the top
+  * tree and the run writer read sequential memory rather than a key array
+  * per row.
   *
   * The top tree does not wait for whole slices: each slice publishes how
   * far it has got every few dozen rows ([[LoserTree.Progress]]), and the top
@@ -162,10 +169,11 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
   private[this] val bounds = new Array[Int](slices + 1)
   private[this] val tasks = Array.tabulate(slices)(new Slice(_))
   private[this] val progress = new Waiter
-  // The chunk being sorted, and slice j's sorted rows in
-  // [bounds(j), bounds(j + 1)): their keys, codes and payloads.
+  // The chunk being sorted, and slice j's sorted rows i in
+  // [bounds(j), bounds(j + 1)): their keys keys(i * arity until
+  // (i + 1) * arity), codes and payloads.
   private[this] var chunk: Array[ERow] = null
-  private[this] var keys = new Array[Array[Long]](0)
+  private[this] var keys = Array.emptyLongArray
   private[this] var codes = Array.emptyLongArray
   private[this] var payloads = new Array[Array[Long]](0)
 
@@ -176,7 +184,7 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
 
   /** Drains the tree whose drain is the sorted run of `chunk(0 until n)`
     * with `drain`, and returns what `drain` returns. The tree reads the
-    * rows' key and payload arrays, not `chunk`, and is done with once
+    * rows' keys and payload arrays, not `chunk`, and is done with once
     * `drain` returns. Throws the exception of the first slice (in entry
     * order) that fails, such as a key outside [0, 2^48).
     */
@@ -187,7 +195,8 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
     if (p == 1) return drain(LoserTree.ofRows(chunk, 0, n, arity, stats, storage(0, w)))
 
     if (codes.length < n) {
-      keys = new Array[Array[Long]](n); codes = new Array[Long](n); payloads = new Array[Array[Long]](n)
+      keys = new Array[Long](Math.multiplyExact(n, arity))
+      codes = new Array[Long](n); payloads = new Array[Array[Long]](n)
     }
     this.chunk = chunk
     var j = 0
@@ -270,9 +279,10 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
         val ks = keys
         val cs = codes
         val ps = payloads
+        val a = arity
         var i = lo
         while (tree.hasNext) {
-          ks(i) = tree.headKey
+          System.arraycopy(tree.headKey, 0, ks, i * a, a)
           cs(i) = tree.headCode
           ps(i) = tree.headPayload
           tree.advance()

@@ -32,18 +32,28 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   *
   * The entries take their rows from a [[LoserTree.Leaves]] source: coded
   * input streams, one per entry; a plain row array, one row per entry
-  * ([[LoserTree.ofRows]]); or sorted slices kept in key, code and payload
-  * arrays, read in place as their producers publish them
-  * ([[LoserTree.ofSlices]]). Besides the iterator, the tree offers its
+  * ([[LoserTree.ofRows]]); sorted slices kept in a flat key array and code
+  * and payload arrays, read as their producers publish them
+  * ([[LoserTree.ofSlices]]); or run files ([[LoserTree.ofRuns]]). The last
+  * two fill each entry's key slot (and a run's payload slot) in place, so
+  * that a merge reads its current rows from a few hot arrays; the tree gives
+  * an entry fresh slots only after [[next]] has handed its row out, which
+  * keeps the row contract. Besides the iterator, the tree offers its
   * current winner in place ([[headKey]], [[headCode]], [[headPayload]]) and
   * [[advance]], so that [[RunFile]] can write a run, or [[RunGen]] a sorted
   * slice, from it without building a row object per row.
+  *
+  * With `dedup`, [[hasNext]] and [[next]] skip winners with the duplicate
+  * code 0 (in-sort duplicate removal, §4.4): the tree plays the matches a
+  * filter over its output would make it play, when that filter would, and
+  * never hands the skipped rows out.
   */
 final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcStats,
-                               storage: LoserTree.Storage) extends Iterator[CodedRow] {
+                               storage: LoserTree.Storage, dedup: Boolean)
+    extends Iterator[CodedRow] {
 
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
-    this(new LoserTree.Streams(inputs.toArray), arity, stats, null)
+    this(new LoserTree.Streams(inputs.toArray), arity, stats, null, false)
 
   private[this] val m = leaves.count
   require(m > 0, "LoserTree needs at least one input")
@@ -116,18 +126,29 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
     winner = build(1)
   }
 
-  override def hasNext: Boolean = winnerCode != Ovc.LateFence
+  override def hasNext: Boolean = {
+    skipDuplicates()
+    winnerCode != Ovc.LateFence
+  }
 
   override def next(): CodedRow = {
-    val out = CodedRow(keys(winner), winnerCode, payloads(winner))
+    skipDuplicates()
+    val w = winner
+    val out = CodedRow(keys(w), winnerCode, payloads(w))
+    leaves.handedOut(w, keys, payloads)
     advance()
     out
   }
 
-  /** The current winner's key, code and payload; valid while [[hasNext]]. */
+  /** The current winner's key, code and payload; valid once [[hasNext]]
+    * returned true, until the next [[advance]].
+    */
   private[sort] def headKey: Array[Long] = keys(winner)
   private[sort] def headCode: Long = winnerCode
   private[sort] def headPayload: Array[Long] = payloads(winner)
+
+  private def skipDuplicates(): Unit =
+    if (dedup) while (Ovc.isDup(winnerCode)) advance()
 
   /** Drops the current winner: replaces it with its successor and replays
     * its leaf-to-root path.
@@ -162,26 +183,37 @@ object LoserTree {
     ofRows(rows, 0, n, arity, stats, null)
 
   /** [[ofRows]] over `rows(from until from + n)`, whose entry e is row
-    * `from + e`, in `storage` if it is not null.
+    * `from + e`, in `storage` if it is not null, skipping duplicates if
+    * `dedup`.
     */
   private[sort] def ofRows(rows: Array[ERow], from: Int, n: Int, arity: Int, stats: OvcStats,
-                           storage: Storage): LoserTree =
-    new LoserTree(new Singles(rows, from, n, arity), arity, stats, storage)
+                           storage: Storage, dedup: Boolean = false): LoserTree =
+    new LoserTree(new Singles(rows, from, n, arity), arity, stats, storage, dedup)
 
-  /** A tree over `count` sorted slices, read in place: entry j's rows are
-    * the keys `keys(i)`, codes `codes(i)` and payloads `payloads(i)` for `i`
-    * in `[bounds(j), bounds(j + 1))`, each code relative to the slice's row
-    * before it (the first relative to "-inf"). The tree reads row `i` of
-    * entry j only once `progress` shows it published, so the slices may
-    * still be being written while the tree is built and drained. It plays
-    * a match only once both its rows are present, so it plays the same
-    * matches in the same order however far the producers have got.
+  /** A tree over `count` sorted slices: entry j's rows are the keys
+    * `keys(i * arity until (i + 1) * arity)`, codes `codes(i)` and payloads
+    * `payloads(i)` for `i` in `[bounds(j), bounds(j + 1))`, each code
+    * relative to the slice's row before it (the first relative to "-inf").
+    * The tree reads row `i` of entry j only once `progress` shows it
+    * published, so the slices may still be being written while the tree is
+    * built and drained. It plays a match only once both its rows are
+    * present, so it plays the same matches in the same order however far
+    * the producers have got.
     */
-  private[sort] def ofSlices(keys: Array[Array[Long]], codes: Array[Long],
+  private[sort] def ofSlices(keys: Array[Long], codes: Array[Long],
                              payloads: Array[Array[Long]], bounds: Array[Int], count: Int,
                              progress: Progress, arity: Int, stats: OvcStats,
                              storage: Storage): LoserTree =
-    new LoserTree(new Slices(keys, codes, payloads, bounds, count, progress), arity, stats, storage)
+    new LoserTree(new Slices(keys, codes, payloads, bounds, count, progress, arity), arity, stats,
+                  storage, false)
+
+  /** A tree over sorted run files, each decoded straight into its entry's
+    * slots, skipping duplicates if `dedup`. A reader is drained through
+    * [[RunFile.Reader.read]] only.
+    */
+  private[sort] def ofRuns(readers: Seq[RunFile.Reader], arity: Int, payloadArity: Int,
+                           stats: OvcStats, dedup: Boolean): LoserTree =
+    new LoserTree(new Runs(readers.toArray, arity, payloadArity), arity, stats, null, dedup)
 
   /** Entries of a tree over `n` inputs: `n` rounded up to a power of two. */
   private[sort] def padded(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
@@ -201,7 +233,10 @@ object LoserTree {
     * arrive in order, each coded relative to the entry's row before it (the
     * first relative to "-inf"). A load puts entry `e`'s row into slot `e` of
     * `keys` and `payloads` and returns its code, or returns the late fence
-    * once the entry has no row left.
+    * once the entry has no row left. A load either stores the row's own
+    * arrays in the slots, or copies the row into arrays the source put
+    * there; a source of the second kind puts fresh arrays in an entry's
+    * slots when the tree hands the entry's row out ([[handedOut]]).
     */
   private[sort] abstract class Leaves(val count: Int) {
     /** Loads entry `e`'s first row. */
@@ -210,6 +245,11 @@ object LoserTree {
 
     /** Loads entry `e`'s next row, once its current one was emitted. */
     def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long
+
+    /** Entry `e`'s current row was handed out as a row object: a source
+      * that fills slots in place must not write into its arrays again.
+      */
+    def handedOut(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Unit = ()
   }
 
   /** One coded input stream per entry. */
@@ -264,24 +304,55 @@ object LoserTree {
     private val Spacing = 5
   }
 
-  /** See [[ofSlices]]. Entry e reads its slice front to back; rows before
-    * `limit(e)` are known to be published, so it asks `progress` again only
-    * once it reaches that limit.
+  /** See [[ofSlices]]. Entry e reads its slice front to back, copying each
+    * key into its key slot and taking the payload array as it is; rows
+    * before `limit(e)` are known to be published, so it asks `progress`
+    * again only once it reaches that limit.
     */
-  private final class Slices(sortedKeys: Array[Array[Long]], codes: Array[Long],
+  private final class Slices(sortedKeys: Array[Long], codes: Array[Long],
                              sortedPayloads: Array[Array[Long]], bounds: Array[Int], count: Int,
-                             progress: Progress) extends Leaves(count) {
+                             progress: Progress, arity: Int) extends Leaves(count) {
     private[this] val pos = java.util.Arrays.copyOf(bounds, count)
     private[this] val limit = java.util.Arrays.copyOf(bounds, count)
+
+    override def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
+      keys(e) = new Array[Long](arity)
+      next(e, keys, payloads)
+    }
 
     def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
       val i = pos(e)
       if (i < bounds(e + 1)) {
         if (i == limit(e)) limit(e) = progress.await(e, i)
-        keys(e) = sortedKeys(i); payloads(e) = sortedPayloads(i)
+        System.arraycopy(sortedKeys, i * arity, keys(e), 0, arity)
+        payloads(e) = sortedPayloads(i)
         pos(e) = i + 1
         codes(i)
       } else Ovc.LateFence
+    }
+
+    override def handedOut(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Unit =
+      keys(e) = new Array[Long](arity)
+  }
+
+  /** See [[ofRuns]]. Each entry owns a key slot and, for payloads of more
+    * than zero columns, a payload slot, which its reader decodes into; its
+    * first slots are made as the fresh slots of a handed-out row are.
+    */
+  private final class Runs(readers: Array[RunFile.Reader], arity: Int, payloadArity: Int)
+      extends Leaves(readers.length) {
+
+    override def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
+      handedOut(e, keys, payloads)
+      next(e, keys, payloads)
+    }
+
+    def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long =
+      readers(e).read(keys(e), payloads(e))
+
+    override def handedOut(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Unit = {
+      keys(e) = new Array[Long](arity)
+      payloads(e) = if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
     }
   }
 }

@@ -180,21 +180,44 @@ object RunFile {
         buf.flip()
       }
 
-    private def load(): Unit =
-      if (!closed && pending == null) {
+    /** Decodes the next row into `key` and `payload` and returns its code;
+      * once the run has ended, closes the reader and returns the late fence.
+      * A merge reads its runs this way, into slots it reuses; the iterator
+      * gives every row arrays of its own.
+      */
+    private[sort] def read(key: Array[Long], payload: Array[Long]): Long =
+      if (more()) decode(key, payload) else Ovc.LateFence
+
+    /** Reads the marker byte in front of the next row: true if a row
+      * follows; at the end of the run, closes the reader.
+      */
+    private def more(): Boolean =
+      !closed && {
         fill(1)
-        if (buf.get() == 0) close()
-        else {
-          fill(rowSize - 1)
-          val key = new Array[Long](arity)
-          var i = 0
-          while (i < arity) { key(i) = buf.getLong(); i += 1 }
-          val code = buf.getLong()
-          val pay = if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
-          i = 0
-          while (i < payloadArity) { pay(i) = buf.getLong(); i += 1 }
-          pending = CodedRow(key, code, pay)
-        }
+        buf.get() != 0 || { close(); false }
+      }
+
+    /** Decodes the row whose marker [[more]] has read. */
+    private def decode(key: Array[Long], payload: Array[Long]): Long = {
+      fill(rowSize - 1)
+      // Fields are read once per row, so that the column loops run on locals.
+      val b = buf
+      val n = arity
+      val pn = payloadArity
+      var i = 0
+      while (i < n) { key(i) = b.getLong(); i += 1 }
+      val code = b.getLong()
+      i = 0
+      while (i < pn) { payload(i) = b.getLong(); i += 1 }
+      code
+    }
+
+    private def load(): Unit =
+      if (pending == null && more()) {
+        val key = new Array[Long](arity)
+        val pay = if (payloadArity == 0) Array.emptyLongArray else new Array[Long](payloadArity)
+        val code = decode(key, pay)
+        pending = CodedRow(key, code, pay)
       }
 
     override def hasNext: Boolean = { load(); pending != null }

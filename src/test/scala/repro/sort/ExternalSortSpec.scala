@@ -358,4 +358,119 @@ class ExternalSortSpec extends AnyFunSuite with TimeLimits {
       Files.delete(dir)
     }
   }
+
+  test("a fan-in below 2 is rejected before any input is read") {
+    failAfter(60.seconds) {
+      // A merge of one run rewrites that run: with fanIn 1 the merge levels
+      // would never end.
+      for (fanIn <- Seq(1, 0, -3)) {
+        var read = 0
+        val in = DataGen.randomRows(50, 2, 5, seed = 11).iterator.map { r => read += 1; r }
+        val e = offThread { () =>
+          intercept[IllegalArgumentException] {
+            ExternalSort.sort(in, 2, 0, 10, new OvcStats, new SpillStats, fanIn = fanIn)
+          }
+        }
+        assert(e.getMessage.contains(s"fanIn $fanIn"), e.getMessage)
+        assert(read == 0)
+      }
+    }
+  }
+
+  // Every path a sorted row can take: the in-memory tree, one merge of the
+  // runs, intermediate merge levels, and run generation in 1, 2 and 4
+  // slices: (name, memRows, fanIn, slices).
+  private val paths = Seq(
+    ("in memory", 10000, ExternalSort.DefaultFanIn, 1),
+    ("one merge level", 256, ExternalSort.DefaultFanIn, 1),
+    ("fanIn 2", 256, 2, 1),
+    ("fanIn 3", 256, 3, 1),
+    ("1 slice", 1000, ExternalSort.DefaultFanIn, 1),
+    ("2 slices", 1000, ExternalSort.DefaultFanIn, 2),
+    ("4 slices", 1000, ExternalSort.DefaultFanIn, 4))
+
+  for ((name, memRows, fanIn, slices) <- paths) {
+    test(s"emitted rows keep their keys and payloads after the stream is drained and closed: $name") {
+      for (dedup <- Seq(false, true); payloadArity <- Seq(0, 1)) {
+        val rows = DataGen.randomRows(3000, 3, 6, seed = 12, payloadArity)
+        val sorted = ExternalSort.sort(rows.iterator, 3, payloadArity, memRows, new OvcStats,
+                                       new SpillStats, dedup, fanIn, null, slices)
+        // Each row as handed out, and a copy of it taken then.
+        val emitted = sorted.map(r => (r, (r.key.toVector, r.code, r.payload.toVector))).toVector
+        sorted.close()
+        val expected = Ref.sortCoded(rows).filter(r => !dedup || !Ovc.isDup(r.code))
+        val what = s"dedup=$dedup, payload $payloadArity"
+        assert(emitted.map(_._2) == expected.map(r => (r.key.toVector, r.code, r.payload.toVector)), what)
+        assert(emitted.forall { case (r, (key, _, payload)) =>
+          r.key.toVector == key && r.payload.toVector == payload }, what)
+      }
+    }
+  }
+
+  test("the run reader's iterator hands out a key array of its own for every row") {
+    val dir = Files.createTempDirectory("sort-spec")
+    for (payloadArity <- Seq(0, 1)) {
+      val in = Ref.sortCoded(DataGen.randomRows(5000, 3, 4, seed = 13, payloadArity))
+      val path = RunFile.write(dir, 3, payloadArity, in.iterator, new SpillStats)
+      val back = RunFile.reader(path, 3, payloadArity).toVector
+      assert(back.map(r => (r.key.toVector, r.code, r.payload.toVector)) ==
+             in.map(r => (r.key.toVector, r.code, r.payload.toVector)))
+      val keys = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[Array[Long], java.lang.Boolean])
+      back.foreach(r => keys.add(r.key))
+      assert(keys.size == back.size)
+      if (payloadArity > 0) {
+        val payloads = java.util.Collections.newSetFromMap(new java.util.IdentityHashMap[Array[Long], java.lang.Boolean])
+        back.foreach(r => payloads.add(r.payload))
+        assert(payloads.size == back.size)
+      }
+    }
+    assert(runFiles(dir).isEmpty)
+    Files.delete(dir)
+  }
+
+  /** SHA-256 of `chunks`, in hex. */
+  private def sha256(chunks: Iterator[Array[Byte]]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    chunks.foreach(c => md.update(c))
+    md.digest().map(x => f"$x%02x").mkString
+  }
+
+  /** A sort of 6,000 rows in 24 runs merged 2 at a time: its output rows
+    * and codes, comparison and spill counts, and the bytes of the runs of
+    * its last merge level, each file's bytes in byte order.
+    */
+  private def fanIn2(dedup: Boolean, slices: Int): (Int, String, String, String, String) = {
+    val rows = DataGen.randomRows(6000, 3, 12, seed = 35, payloadArity = 1)
+    val dir = Files.createTempDirectory("sort-spec")
+    val stats = new OvcStats
+    val spill = new SpillStats
+    val sorted = ExternalSort.sort(rows.iterator, 3, 1, 250, stats, spill, dedup, 2, dir, slices)
+    val runs = runFiles(dir).map(Files.readAllBytes).sortWith(java.util.Arrays.compare(_, _) < 0)
+    val out = sorted.map { r =>
+      val b = java.nio.ByteBuffer.allocate(8 * 5)
+      r.key.foreach(b.putLong); b.putLong(r.code); r.payload.foreach(b.putLong)
+      b.array
+    }.toVector
+    Files.delete(dir)
+    (out.size, sha256(out.iterator), stats.toString, spill.toString, sha256(runs.iterator))
+  }
+
+  // Recorded with the run readers that built a key array and a row object
+  // for every row they read: merges that decode into their trees' entries
+  // must play the same matches and write the same runs.
+  for ((dedup, pin) <- Seq(
+         false -> ((6000, "a2755f47c230be1fd4eede8c86fb4aa2b18db3901ec1655e27cfe661f5e79b92",
+                    "OvcStats(code=68240, column=11844, row=68240, hashCol=0)",
+                    "SpillStats(rows=30000, runs=47, bytes=1230047, levels=4)",
+                    "65a0418c132be1d3d7d2edebbaea5f5c23070808dc7e305fee91d8602ced6c31")),
+         true -> ((1674, "3400bb2ac5fd92927c54dd6d4f9a58c35d20df34218d95975bb38627f441906d",
+                   "OvcStats(code=60570, column=11844, row=60570, hashCol=0)",
+                   "SpillStats(rows=21497, runs=47, bytes=881424, levels=4)",
+                   "1130455074d8870216d9e79fa4040cff6c2286d75f2be0c5539d25f3c3435e63")));
+       slices <- Seq(1, 4)) {
+    test(s"pinned rows, codes, counts and run bytes of four merge levels at fanIn 2, dedup=$dedup, " +
+         s"$slices slices") {
+      assert(fanIn2(dedup, slices) == pin)
+    }
+  }
 }

@@ -8,6 +8,7 @@ import org.scalatest.time.SpanSugar._
 
 import repro.Ref
 import repro.core._
+import repro.ops.DedupOp
 
 /** Tree-of-losers priority queue with offset-value coding. */
 class LoserTreeSpec extends AnyFunSuite with TimeLimits {
@@ -172,13 +173,13 @@ class LoserTreeSpec extends AnyFunSuite with TimeLimits {
         if (size == 0) Vector.empty[CodedRow]
         else LoserTree.ofRows(rows, bounds(j), size, 3, stats, null).toVector
       }
-      val keys = new Array[Array[Long]](n)
+      val keys = new Array[Long](n * 3)
       val codes = new Array[Long](n)
       val payloads = new Array[Array[Long]](n)
 
       // The fake producer copies the next burst of a slice into the shared
       // arrays and publishes it only when the tree waits for that slice's
-      // next row, so every read of a row not yet published shows as a null
+      // next row, so every read of a row not yet published shows as a zero
       // key or a wrong code.
       val request = new AtomicLong(-1L) // entry << 32 | row the tree waits for
       var awaits = 0
@@ -208,7 +209,7 @@ class LoserTreeSpec extends AnyFunSuite with TimeLimits {
             val end = math.min(bounds(e + 1), released(e) + sizes(burst(e) % sizes.length))
             for (i <- released(e) until end) {
               val r = sorted(e)(i - bounds(e))
-              keys(i) = r.key; codes(i) = r.code; payloads(i) = r.payload
+              System.arraycopy(r.key, 0, keys, i * 3, 3); codes(i) = r.code; payloads(i) = r.payload
             }
             progress.publish(e, end)
             released(e) = end
@@ -228,5 +229,25 @@ class LoserTreeSpec extends AnyFunSuite with TimeLimits {
         if (size <= 0) 0 else 1 + bursts(size - sizes(k % sizes.length), k + 1)
       assert(awaits == (0 until p).map(j => bursts(bounds(j + 1) - bounds(j))).sum)
     }
+  }
+
+  test("a deduplicating tree read part way has made the comparisons of a filter over its output") {
+    val rows = DataGen.randomRows(2000, 3, 5, seed = 51, payloadArity = 1)
+    for (k <- Seq(0, 1, 2, 17, 60, 124, 125)) {
+      val viaTree = new OvcStats
+      val tree = LoserTree.ofRows(rows, 0, rows.length, 3, viaTree, null, dedup = true)
+      val viaFilter = new OvcStats
+      val filter = DedupOp(LoserTree.ofRows(rows, rows.length, 3, viaFilter))
+      val taken = (tree.take(k).toVector, filter.take(k).toVector)
+      assert(taken._1.map(r => (r.key.toVector, r.code)) == taken._2.map(r => (r.key.toVector, r.code)))
+      assert(viaTree.toString == viaFilter.toString, s"after $k rows")
+    }
+  }
+
+  test("rows a split run generator's tree hands out keep their keys once the tree moves on") {
+    val rows = DataGen.randomRows(5000, 3, 6, seed = 52, payloadArity = 1)
+    val expected = emitted(LoserTree.ofRows(rows, rows.length, 3, new OvcStats))
+    val kept = new RunGen(3, new OvcStats, 4).run(rows, rows.length)(_.toVector)
+    assert(kept.map(r => (r.key.toVector, r.code, r.payload.toVector)) == expected)
   }
 }
