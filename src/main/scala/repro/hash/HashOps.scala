@@ -106,10 +106,10 @@ object HashAgg {
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats,
-                 tmpDir: Path = null, level: Int = 0): HashOutput = {
+                 tmpDir: Path = null): HashOutput = {
     require(memGroups > 0)
     val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-agg")
-    new HashOutput(aggregate(input, arity, memGroups, spill, stats, dir, level),
+    new HashOutput(aggregate(input, arity, memGroups, spill, stats, dir, level = 0),
                    if (tmpDir != null) null else dir)
   }
 
@@ -153,11 +153,11 @@ object HashJoin {
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
                memRows: Int, spill: SpillStats, stats: OvcStats,
-               tmpDir: Path = null, level: Int = 0): HashOutput = {
+               tmpDir: Path = null): HashOutput = {
     require(memRows > 0)
     var made: Path = null
     val rows = join(build, probe, arity, memRows, spill, stats, () =>
-      if (tmpDir != null) tmpDir else { made = RunFile.newTempDir("hash-join"); made }, level)
+      if (tmpDir != null) tmpDir else { made = RunFile.newTempDir("hash-join"); made }, level = 0)
     new HashOutput(rows, made)
   }
 

@@ -9,10 +9,22 @@ import repro.core.{CodedRow, ERow, Ovc, OvcStats}
   * row's offset is the first column whose run boundary falls at that row —
   * a value differs from the previous row's iff a run boundary falls there —
   * and the value is that run's stored value. No column-value comparisons
-  * happen at scan time.
+  * happen at scan time. A run value outside [0, 2^48) raises
+  * `IllegalArgumentException` when the table is built.
   */
 final class RleTable(val arity: Int, val numRows: Int,
                      values: Array[Array[Long]], lengths: Array[Array[Int]]) {
+
+  for (j <- values.indices) {
+    val vs = values(j)
+    var i = 0
+    while (i < vs.length) {
+      if ((vs(i) >>> Ovc.ValueBits) != 0L)
+        throw new IllegalArgumentException(
+          s"column $j run value ${vs(i)} is outside [0, 2^${Ovc.ValueBits})")
+      i += 1
+    }
+  }
 
   /** Scan in stored order, emitting rows with their packed OVCs. The per-row
     * work is integer run bookkeeping only; `stats.columnComparisons` is never

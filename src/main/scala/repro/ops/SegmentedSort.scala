@@ -17,7 +17,8 @@ import repro.sort.LoserTree
   * segment base `(S, -inf)`, i.e. offset `segLen`, value `C(0)`; the
   * tree-of-losers sort then extends the offsets again. The first output row of
   * each segment carries the segment's boundary code (offsets < segLen refer to
-  * `S` columns, which old and new key share).
+  * `S` columns, which old and new key share). A replacement-suffix value
+  * outside [0, 2^48) raises `IllegalArgumentException`.
   */
 object SegmentedSortOp {
 
@@ -51,6 +52,7 @@ object SegmentedSortOp {
             System.arraycopy(r.key, 0, key, 0, segLen)
             var i = 0
             while (i < newSuffixLen) { key(segLen + i) = r.payload(i); i += 1 }
+            Ovc.requireKey(key, newArity)
             Iterator.single(CodedRow(key, Ovc.codeAt(key, segLen), r.payload))
           }
           val sorted = new LoserTree(rekeyed.toIndexedSeq, newArity, stats)

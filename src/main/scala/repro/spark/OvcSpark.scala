@@ -1,9 +1,12 @@
 package repro.spark
 
+import scala.reflect.ClassTag
+
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{DataFrame, Row}
-import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
+import org.apache.spark.sql.catalyst.expressions.GenericRow
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType, StructField, StructType}
 
@@ -45,71 +48,40 @@ final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   */
 object OvcSpark {
 
-  /** Extract an integral key column as Long. Throws
-    * `IllegalArgumentException` for a null, a non-integral value, or a value
-    * outside the OVC value domain [0, 2^48).
-    */
-  private[spark] def toLong(v: Any): Long = {
-    val l = v match {
-      case l: Long  => l
-      case i: Int   => i.toLong
-      case s: Short => s.toLong
-      case b: Byte  => b.toLong
-      case null     => throw new IllegalArgumentException("null key column")
-      case other    => throw new IllegalArgumentException(s"non-integral key column: $other")
-    }
-    if ((l >>> Ovc.ValueBits) != 0L)
-      throw new IllegalArgumentException(s"key column value $l is outside [0, 2^${Ovc.ValueBits})")
-    l
-  }
-
   /** Range-repartition on `keyCols`, sort each partition, and attach the
     * packed ascending OVC of each row relative to its partition predecessor
     * as a new `ovc` column — an ordered scan originating codes (§4.10).
+    * Keys are checked as in [[orderedScan]].
     */
   def sortedWithOvc(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val spark = df.sparkSession
-    val sorted = df
-      .repartitionByRange(keyCols.map(col): _*)
-      .sortWithinPartitions(keyCols.map(col): _*)
-    val keyIdx = keyCols.map(sorted.schema.fieldIndex).toArray
-    val schema = StructType(sorted.schema.fields :+ StructField("ovc", LongType, nullable = false))
-    val rdd = sorted.rdd.mapPartitions { it =>
-      val junk = new OvcStats
-      var prev: Array[Long] = null
-      it.map { r =>
-        val key = keyIdx.map(i => toLong(r.get(i)))
-        val code = Ovc.encode(prev, key, junk)
-        prev = key
-        Row.fromSeq(r.toSeq :+ code)
-      }
+    val types = df.schema.fields.map(_.dataType)
+    val toScala = types.map(CatalystTypeConverters.createToScalaConverter)
+    val arity = keyCols.length
+    val rows = orderedScan(df, keyCols, df.columns.toSeq.map(c => col(quoted(c)))) { (r, coded) =>
+      val values = new Array[Any](types.length + 1)
+      var i = 0
+      while (i < types.length) { values(i) = toScala(i)(r.get(arity + i, types(i))); i += 1 }
+      values(types.length) = coded.code
+      new GenericRow(values): Row
     }
-    spark.createDataFrame(rdd, schema)
+    df.sparkSession.createDataFrame(rows,
+      StructType(df.schema.fields :+ StructField("ovc", LongType, nullable = false)))
   }
 
-  /** In-stream group count driven by the OVC column: one integer boundary
-    * test per row inside each executor (§4.5, Figure 1). Output columns:
-    * the key columns (as Long) plus `cnt`.
+  /** In-stream group count driven by the ordered scan's codes: one integer
+    * boundary test per row inside each executor (§4.5, Figure 1). Output
+    * columns: the key columns (as Long) plus `cnt`. Keys are checked as in
+    * [[orderedScan]].
     */
   def groupCount(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val spark = df.sparkSession
     val arity = keyCols.length
-    val withCodes = sortedWithOvc(df, keyCols)
-    val keyIdx = keyCols.map(withCodes.schema.fieldIndex).toArray
-    val ovcIdx = withCodes.schema.fieldIndex("ovc")
     val schema = StructType(
       keyCols.map(c => StructField(c, LongType, nullable = false)) :+
       StructField("cnt", LongType, nullable = false))
-    val rdd = withCodes.rdd.mapPartitions { it =>
-      val stats = new OvcStats
-      val coded = it.map { r =>
-        CodedRow(keyIdx.map(i => toLong(r.get(i))), r.getLong(ovcIdx), ERow.NoPayload)
-      }
-      GroupAggOp.countByOvc(coded, arity, arity, stats).map { g =>
-        Row.fromSeq(g.key.toSeq :+ g.payload(0))
-      }
+    val rows = orderedScan(df, keyCols)((_, coded) => coded).mapPartitions { it =>
+      GroupAggOp.countByOvc(it, arity, arity, new OvcStats).map(g => Row.fromSeq(g.key.toSeq :+ g.payload(0)))
     }
-    spark.createDataFrame(rdd, schema)
+    df.sparkSession.createDataFrame(rows, schema)
   }
 
   /** `select keyCols from df1 intersect select keyCols from df2` executed the
@@ -136,16 +108,9 @@ object OvcSpark {
 
     // Both sides hash the same `bigint` values with the same partition count,
     // so equal keys meet in the same partition pair.
-    def hashed(df: DataFrame): RDD[InternalRow] = {
-      val keys = keyCols.map { c =>
-        df.schema(c).dataType match {
-          case LongType | IntegerType | ShortType | ByteType => col(quoted(c)).cast(LongType).as(c)
-          case t => throw new IllegalArgumentException(s"non-integral key column $c: $t")
-        }
-      }
-      df.select(keys: _*).repartition(parts, keyCols.map(c => col(quoted(c))): _*)
+    def hashed(df: DataFrame): RDD[InternalRow] =
+      df.select(bigintKeys(df, keyCols): _*).repartition(parts, keyCols.map(c => col(quoted(c))): _*)
         .queryExecution.toRdd
-    }
 
     val joined = hashed(df1).zipPartitions(hashed(df2)) { (i1, i2) =>
       val stats = new OvcStats
@@ -165,6 +130,45 @@ object OvcSpark {
     }
     val schema = StructType(keyCols.map(c => StructField(c, LongType, nullable = false)))
     spark.createDataFrame(joined, schema)
+  }
+
+  /** `keyCols` of `df`, each resolved by its exact name, cast to `bigint` and
+    * named as before. A column that is not `bigint`, `int`, `smallint` or
+    * `tinyint` raises `IllegalArgumentException`.
+    */
+  private def bigintKeys(df: DataFrame, keyCols: Seq[String]): Seq[Column] =
+    keyCols.map { c =>
+      df.schema(c).dataType match {
+        case LongType | IntegerType | ShortType | ByteType => col(quoted(c)).cast(LongType).as(c)
+        case t => throw new IllegalArgumentException(s"non-integral key column $c: $t")
+      }
+    }
+
+  /** The ordered scan (§4.10): `df` range-partitioned and sorted within
+    * partitions on [[bigintKeys]], projected to those keys followed by
+    * `rest`, with each row's key coded against its partition predecessor.
+    * `emit` gets each projected row, valid only during the call, and its
+    * coded key. A key column [[bigintKeys]] refuses raises
+    * `IllegalArgumentException` here, and a null key, or a key outside
+    * [0, 2^48), raises it when its row is read.
+    */
+  private[spark] def orderedScan[T: ClassTag](df: DataFrame, keyCols: Seq[String],
+                                              rest: Seq[Column] = Nil)(
+      emit: (InternalRow, CodedRow) => T): RDD[T] = {
+    val arity = keyCols.length
+    val keys = bigintKeys(df, keyCols)
+    df.repartitionByRange(keys: _*).sortWithinPartitions(keys: _*).select(keys ++ rest: _*)
+      .queryExecution.toRdd.mapPartitions { it =>
+        val junk = new OvcStats
+        var prev: Array[Long] = null
+        it.map { r =>
+          val key = longKey(r, arity)
+          Ovc.requireKey(key, arity)
+          val code = Ovc.encode(prev, key, junk)
+          prev = key
+          emit(r, CodedRow(key, code, ERow.NoPayload))
+        }
+      }
   }
 
   /** A column name as a quoted identifier, so that Catalyst resolves it as

@@ -9,11 +9,10 @@ import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read.{Batch, InputPartition, PartitionReader, PartitionReaderFactory, Scan, ScanBuilder}
-import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 
-import repro.core.{Ovc, OvcStats}
+import repro.core.Ovc
 
 /** A sorted columnar store with prefix truncation (paper §4.10/§4.11): each
   * record is encoded relative to its immediate predecessor as
@@ -31,20 +30,17 @@ object OvcStore {
 
   val Magic: Int = 0x4f564331 // "OVC1"
 
-  /** Write `df` (projected to `keyCols`, which must be integral and within
-    * [0, 2^48)) as a sorted, prefix-truncated store under `dir`, one file per
-    * range partition. Returns the per-partition row counts.
+  /** Write `df` (projected to `keyCols`, checked as in
+    * [[OvcSpark.orderedScan]]) as a sorted, prefix-truncated store under
+    * `dir`, one file per range partition of the ordered scan. Returns the
+    * per-partition row counts.
     */
   def write(df: DataFrame, keyCols: Seq[String], dir: String): Array[Long] = {
     val arity = keyCols.length
     val d = new File(dir)
     require(d.isDirectory || d.mkdirs(), s"cannot create $dir")
-    val sorted = df
-      .repartitionByRange(keyCols.map(col): _*)
-      .sortWithinPartitions(keyCols.map(col): _*)
-    val idx = keyCols.map(sorted.schema.fieldIndex).toArray
     val names = keyCols.toArray
-    sorted.rdd.mapPartitionsWithIndex { (pid, it) =>
+    OvcSpark.orderedScan(df, keyCols)((_, coded) => coded).mapPartitionsWithIndex { (pid, it) =>
       val f = new File(d, f"part-$pid%05d.ovc")
       val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
       var n = 0L
@@ -52,17 +48,13 @@ object OvcStore {
         out.writeInt(Magic)
         out.writeInt(arity)
         names.foreach(out.writeUTF)
-        val junk = new OvcStats
-        var prev: Array[Long] = null
         it.foreach { r =>
-          val key = idx.map(i => OvcSpark.toLong(r.get(i)))
           // Prefix truncation: offset = shared prefix with the predecessor.
-          val off = Ovc.offsetOf(Ovc.encode(prev, key, junk), arity)
+          val off = Ovc.offsetOf(r.code, arity)
           out.writeByte(1)
           out.writeByte(off)
           var j = off
-          while (j < arity) { out.writeLong(key(j)); j += 1 }
-          prev = key
+          while (j < arity) { out.writeLong(r.key(j)); j += 1 }
           n += 1
         }
         out.writeByte(0)

@@ -66,4 +66,16 @@ class SegmentedSortSpec extends AnyFunSuite {
     val stats = new OvcStats
     assert(SegmentedSortOp(Iterator.empty, 3, 1, 1, stats).isEmpty)
   }
+
+  test("a replacement suffix outside [0, 2^48) is rejected, not packed into the offset bits") {
+    // One segment (S = 1), suffixes C as given: 2^48 + 1 would sort before
+    // 3 and 5, and -1 would index past the tree's code range.
+    def sortSuffixes(cs: Long*): Vector[CodedRow] = {
+      val rows = cs.zipWithIndex.map { case (c, i) => ERow(Array(1L, i.toLong), Array(c)) }.toArray
+      SegmentedSortOp(Ref.sortCoded(rows).iterator, 2, 1, 1, new OvcStats).toVector
+    }
+    intercept[IllegalArgumentException](sortSuffixes(5L, (1L << 48) + 1, 3L))
+    intercept[IllegalArgumentException](sortSuffixes(-1L, -1L))
+    assert(sortSuffixes(5L, (1L << 48) - 1, 3L).map(_.key(1)) == Vector(3L, 5L, (1L << 48) - 1))
+  }
 }

@@ -75,6 +75,15 @@ class ShuffleRleSpec extends AnyFunSuite {
     assert(out.tail.forall(r => Ovc.isDup(r.code)))
   }
 
+  test("an RLE run value outside [0, 2^48) is rejected when the table is built") {
+    // Scanned, -2 would carry code -2, and grouping on column 0 would split
+    // key 1's three rows into groups of 1 and 2.
+    val keys = Vector(Array(1L, -3L), Array(1L, -2L), Array(1L, -2L), Array(2L, 4L))
+    intercept[IllegalArgumentException](RleTable.fromSortedKeys(keys))
+    intercept[IllegalArgumentException](
+      new RleTable(1, 2, Array(Array(1L, 1L << 48)), Array(Array(1, 1))))
+  }
+
   test("scan feeds downstream operators directly: dedup + group count") {
     val rows = DataGen.randomRows(2000, 2, 3, seed = 9)
     val sorted = Ref.sortCoded(rows)

@@ -2,9 +2,11 @@ package repro.spark
 
 import java.nio.file.Files
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 
-/** The Spark entry points reject a key outside the OVC value domain
+/** Every Spark entry point rejects a key outside the OVC value domain
   * [0, 2^48), a null key and a non-integral key column instead of writing a
   * corrupt `ovc` column or returning a wrong result.
   */
@@ -13,43 +15,40 @@ class KeyDomainSpec extends SparkSpec {
   private def rootCause(t: Throwable): Throwable =
     if (t.getCause == null || t.getCause == t) t else rootCause(t.getCause)
 
-  private def negativeKey = {
-    import spark.implicits._
-    Seq((1L, 2L), (3L, -4L), (5L, 6L)).toDF("a", "b")
+  private val keys = Seq("a", "b")
+
+  private def writeStore(df: DataFrame): Unit = {
+    val dir = Files.createTempDirectory("ovcstore-bad-key").toFile
+    try OvcStore.write(df, keys, dir.getAbsolutePath)
+    finally {
+      Option(dir.listFiles()).getOrElse(Array.empty).foreach(_.delete())
+      dir.delete()
+    }
   }
 
-  test("sortedWithOvc rejects a negative key column") {
-    val e = intercept[Exception](OvcSpark.sortedWithOvc(negativeKey, Seq("a", "b")).collect())
-    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
-  }
+  private val entryPoints: Seq[(String, DataFrame => Unit)] = Seq(
+    "sortedWithOvc" -> (df => OvcSpark.sortedWithOvc(df, keys).collect()),
+    "groupCount" -> (df => OvcSpark.groupCount(df, keys).collect()),
+    "OvcStore.write" -> writeStore,
+    "intersectDistinct" -> (df => OvcSpark.intersectDistinct(df, df, keys).collect()))
 
-  test("OvcStore.write rejects a negative key column") {
-    val dir = Files.createTempDirectory("ovcstore-neg").toFile
-    dir.deleteOnExit()
-    val e = intercept[Exception](OvcStore.write(negativeKey, Seq("a", "b"), dir.getAbsolutePath))
-    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
-    Option(dir.listFiles()).getOrElse(Array.empty).foreach(_.delete())
-  }
+  private val badKeys: Seq[(String, () => DataFrame)] = Seq(
+    "a negative key column" -> (() => {
+      import spark.implicits._
+      Seq((1L, 2L), (3L, -4L), (5L, 6L)).toDF("a", "b")
+    }),
+    "a null key" -> (() => {
+      import spark.implicits._
+      Seq((Some(1L), 2L), (None, 4L), (Some(5L), 6L)).toDF("a", "b")
+    }),
+    "a double key column" -> (() => {
+      import spark.implicits._
+      Seq((1.0, 2L), (3.0, 4L)).toDF("a", "b")
+    }))
 
-  test("intersectDistinct rejects a negative key column") {
-    val e = intercept[Exception](
-      OvcSpark.intersectDistinct(negativeKey, negativeKey, Seq("a", "b")).collect())
-    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
-  }
-
-  test("intersectDistinct rejects a null key") {
-    import spark.implicits._
-    val nullKey = Seq((Some(1L), 2L), (None, 4L), (Some(5L), 6L)).toDF("a", "b")
-    val e = intercept[Exception](
-      OvcSpark.intersectDistinct(nullKey, nullKey, Seq("a", "b")).collect())
-    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
-  }
-
-  test("intersectDistinct rejects a double key column") {
-    import spark.implicits._
-    val doubleKey = Seq((1.0, 2L), (3.0, 4L)).toDF("a", "b")
-    val e = intercept[Exception](
-      OvcSpark.intersectDistinct(doubleKey, doubleKey, Seq("a", "b")).collect())
-    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
-  }
+  for ((entry, run) <- entryPoints; (what, df) <- badKeys)
+    test(s"$entry rejects $what") {
+      val e = intercept[Exception](run(df()))
+      assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
+    }
 }

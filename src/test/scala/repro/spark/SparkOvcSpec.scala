@@ -2,6 +2,8 @@ package repro.spark
 
 import scala.jdk.CollectionConverters._
 
+import org.apache.spark.sql.Row
+
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{Ovc, OvcInvariants, CodedRow, ERow}
 
@@ -116,12 +118,46 @@ class SparkOvcSpec extends SparkSpec {
       "u1" -> u1, "u2" -> u2)
   }
 
-  test("OVC intersect-distinct resolves a key column by its exact name") {
+  test("every Spark entry point resolves a key column by its exact name") {
     val t1 = SynthData.uniformKeys(spark, rows = 5000, nKeys = 800, seed = 1).selectExpr("k AS `a.b`")
     val t2 = SynthData.uniformKeys(spark, rows = 5000, nKeys = 900, seed = 2).selectExpr("k AS `a.b`")
+    val keys = t1.collect().map(_.getLong(0)).sorted.toSeq
     val got = OvcSpark.intersectDistinct(t1, t2, Seq("a.b"))
     assert(got.columns.toSeq == Seq("a.b"))
     assert(got.collect().map(_.getLong(0)).toSet == t1.intersect(t2).collect().map(_.getLong(0)).toSet)
+
+    val coded = OvcSpark.sortedWithOvc(t1, Seq("a.b"))
+    assert(coded.columns.toSeq == Seq("a.b", "ovc"))
+    assert(coded.collect().map(_.getLong(0)).sorted.toSeq == keys)
+
+    val counts = OvcSpark.groupCount(t1, Seq("a.b"))
+    assert(counts.columns.toSeq == Seq("a.b", "cnt"))
+    assert(counts.collect().map(r => r.getLong(0) -> r.getLong(1)).toMap ==
+             keys.groupBy(identity).map { case (k, ks) => k -> ks.size.toLong })
+
+    val dir = java.nio.file.Files.createTempDirectory("ovcstore-name").toFile
+    try {
+      assert(OvcStore.write(t1, Seq("a.b"), dir.getAbsolutePath).sum == keys.size)
+      assert(OvcStore.schemaOf(dir.getAbsolutePath).fieldNames.toSeq == Seq("a.b", "ovc"))
+    } finally {
+      Option(dir.listFiles()).getOrElse(Array.empty).foreach(_.delete())
+      dir.delete()
+    }
+  }
+
+  test("sortedWithOvc keeps every column with its type and value, nulls included") {
+    import spark.implicits._
+    val df = Seq[(Int, Option[String], Option[Double], Long)](
+      (3, Some("c"), Some(0.5), 1L), (1, None, Some(1.5), 2L), (3, Some("a"), None, 0L),
+      (2, Some("b"), Some(2.5), 7L)).toDF("k", "s", "d", "k2")
+    val coded = OvcSpark.sortedWithOvc(df, Seq("k", "k2"))
+    assert(coded.schema.fields.toSeq.init == df.schema.fields.toSeq)
+    assert(coded.collect().map(r => Row.fromSeq(r.toSeq.init)).toSet == df.collect().toSet)
+    val parts = coded.rdd.mapPartitions { it =>
+      Iterator.single(it.map(r => CodedRow(Array(r.getInt(0).toLong, r.getLong(3)), r.getLong(4),
+                                           ERow.NoPayload)).toVector)
+    }.collect()
+    parts.foreach(p => OvcInvariants.verifyChain(p, 2))
   }
 
   test("OVC intersect-distinct keeps numPartitions and its rows with and without adaptive execution") {
