@@ -79,13 +79,15 @@ object Ovc {
     */
   def requireKey(key: Array[Long], arity: Int): Unit = {
     var i = 0
-    while (i < arity) {
-      if ((key(i) >>> ValueBits) != 0L)
-        throw new IllegalArgumentException(
-          s"key column $i = ${key(i)} is outside [0, 2^$ValueBits)")
-      i += 1
-    }
+    while (i < arity) { requireValue(i, key(i)); i += 1 }
   }
+
+  /** Rejects `value`, in key column `column`, unless it fits the value field
+    * [0, 2^48).
+    */
+  def requireValue(column: Int, value: Long): Unit =
+    if ((value >>> ValueBits) != 0L)
+      throw new IllegalArgumentException(s"key column $column = $value is outside [0, 2^$ValueBits)")
 
   def offsetOf(code: Long, arity: Int): Int = arity - (code >>> ValueBits).toInt
 

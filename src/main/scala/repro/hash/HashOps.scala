@@ -1,12 +1,11 @@
 package repro.hash
 
-import java.io.Closeable
 import java.nio.file.Path
 
 import scala.collection.mutable
 
 import repro.core.{CodedRow, ERow, OvcStats}
-import repro.sort.{RunFile, SpillStats}
+import repro.sort.{RunFile, SpillOutput, SpillStats}
 
 /** Hashable wrapper for a key array; computing the hash touches every column
   * (charged to `OvcStats.hashColumnAccesses` by callers), mirroring the
@@ -31,11 +30,12 @@ final class LongsKey(val xs: Array[Long]) {
   * recursion levels must not reuse the parent's partitioning function, or an
   * oversized partition would map back into a single bucket and never shrink.
   * Each partition buffers rows in batches and writes them through [[RunFile]]
-  * as code-0 rows with a one-column payload (the row's first payload column,
-  * or `emptyPayload`), so spill accounting and file I/O are real.
+  * into `out`'s directory as code-0 rows with a one-column payload (the row's
+  * first payload column, or `emptyPayload`), so spill accounting and file I/O
+  * are real.
   */
-private[hash] final class SpillWriter(dir: Path, arity: Int, level: Int, spill: SpillStats,
-                                      emptyPayload: Long) {
+private[hash] final class SpillWriter(out: SpillOutput[ERow], arity: Int, level: Int,
+                                      spill: SpillStats, emptyPayload: Long) {
   import SpillWriter._
 
   private[this] val batches = Array.fill(Partitions)(new mutable.ArrayBuffer[ERow]())
@@ -51,7 +51,7 @@ private[hash] final class SpillWriter(dir: Path, arity: Int, level: Int, spill: 
 
   private def flush(p: Int): Unit =
     if (batches(p).nonEmpty) {
-      files(p) += RunFile.write(dir, arity, 1, batches(p).iterator.map(r =>
+      files(p) += RunFile.write(out.dir, arity, 1, batches(p).iterator.map(r =>
         CodedRow(r.key, 0L, Array(if (r.payload.isEmpty) emptyPayload else r.payload(0)))), spill)
       batches(p).clear()
     }
@@ -72,25 +72,6 @@ private[hash] object SpillWriter {
     files.iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
 }
 
-/** The output of a grace-hash operator. Closing it deletes the temporary
-  * directory the operator made, if it made one, and every spill file still
-  * in it; draining it does the same. A consumer that may stop early should
-  * close it.
-  */
-final class HashOutput private[hash] (rows: Iterator[ERow], ownDir: Path)
-    extends Iterator[ERow] with Closeable {
-  private[this] var closed = false
-
-  override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
-  override def next(): ERow = rows.next()
-
-  override def close(): Unit =
-    if (!closed) {
-      closed = true
-      if (ownDir != null) RunFile.deleteDir(ownDir)
-    }
-}
-
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table
   * and partitioned spill to local files — the "hash aggregation" blocking
   * operators of the paper's Figure 2 hash plan.
@@ -100,23 +81,19 @@ object HashAgg {
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
     * unseen groups spill to one of the [[SpillWriter]] partitions, processed
-    * recursively after the input drains. Without a `tmpDir`, the operator
-    * makes a temporary directory, which its output deletes once drained or
-    * closed.
+    * recursively after the input drains.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
-                 spill: SpillStats, stats: OvcStats,
-                 tmpDir: Path = null): HashOutput = {
+                 spill: SpillStats, stats: OvcStats): SpillOutput[ERow] = {
     require(memGroups > 0)
-    val dir = if (tmpDir != null) tmpDir else RunFile.newTempDir("hash-agg")
-    new HashOutput(aggregate(input, arity, memGroups, spill, stats, dir, level = 0),
-                   if (tmpDir != null) null else dir)
+    val out = new SpillOutput[ERow](null, "hash-agg")
+    out.of(aggregate(input, arity, memGroups, spill, stats, out, level = 0))
   }
 
   private def aggregate(input: Iterator[ERow], arity: Int, memGroups: Int, spill: SpillStats,
-                        stats: OvcStats, dir: Path, level: Int): Iterator[ERow] = {
+                        stats: OvcStats, out: SpillOutput[ERow], level: Int): Iterator[ERow] = {
     val map = new mutable.HashMap[LongsKey, Array[Long]]()
-    val spilled = new SpillWriter(dir, arity, level, spill, emptyPayload = 1L)
+    val spilled = new SpillWriter(out, arity, level, spill, emptyPayload = 1L)
 
     def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
 
@@ -134,7 +111,7 @@ object HashAgg {
     // Each spilled partition is read back, and recursed into, once reached.
     spilled.finish().filter(_.nonEmpty).foldLeft(
       map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }) { (result, files) =>
-      result ++ aggregate(SpillWriter.read(files, arity), arity, memGroups, spill, stats, dir, level + 1)
+      result ++ aggregate(SpillWriter.read(files, arity), arity, memGroups, spill, stats, out, level + 1)
     }
   }
 }
@@ -147,25 +124,19 @@ object HashAgg {
 object HashJoin {
 
   /** Emit each probe row whose key occurs in the build input (both sides are
-    * assumed distinct on the full key, as after duplicate removal). Without
-    * a `tmpDir`, a join that spills makes a temporary directory, which its
-    * output deletes once drained or closed.
+    * assumed distinct on the full key, as after duplicate removal).
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
-               memRows: Int, spill: SpillStats, stats: OvcStats,
-               tmpDir: Path = null): HashOutput = {
+               memRows: Int, spill: SpillStats, stats: OvcStats): SpillOutput[ERow] = {
     require(memRows > 0)
-    var made: Path = null
-    val rows = join(build, probe, arity, memRows, spill, stats, () =>
-      if (tmpDir != null) tmpDir else { made = RunFile.newTempDir("hash-join"); made }, level = 0)
-    new HashOutput(rows, made)
+    val out = new SpillOutput[ERow](null, "hash-join")
+    out.of(join(build, probe, arity, memRows, spill, stats, out, level = 0))
   }
 
-  /** [[semiJoin]] of one level; if it spills, it calls `dir()` once for the
-    * directory to spill to.
-    */
+  /** [[semiJoin]] of one level, spilling into `out`'s directory. */
   private def join(build: Iterator[ERow], probe: Iterator[ERow], arity: Int, memRows: Int,
-                   spill: SpillStats, stats: OvcStats, dir: () => Path, level: Int): Iterator[ERow] = {
+                   spill: SpillStats, stats: OvcStats, out: SpillOutput[ERow],
+                   level: Int): Iterator[ERow] = {
     val inMem = new mutable.ArrayBuffer[ERow]()
     var overflow = false
     while (!overflow && build.hasNext) {
@@ -181,9 +152,8 @@ object HashJoin {
         set.contains(new LongsKey(r.key))
       }
     } else {
-      val d = dir()
       def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
-        val spilled = new SpillWriter(d, arity, level, spill, emptyPayload = 0L)
+        val spilled = new SpillWriter(out, arity, level, spill, emptyPayload = 0L)
         rows.foreach { r =>
           stats.hashColumnAccesses += arity
           spilled.add(r, new LongsKey(r.key).hashCode)
@@ -196,7 +166,7 @@ object HashJoin {
 
       buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
         join(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
-             () => d, level + 1)
+             out, level + 1)
       }
     }
   }

@@ -28,7 +28,9 @@ object JoinType {
   * steps and column comparisons start past the shared offset. Rows whose
   * capped code is the duplicate code extend the current match group with no
   * column access at all — this is how codes carried from in-sort aggregation
-  * "speed up row comparisons in the merge join" (§6).
+  * "speed up row comparisons in the merge join" (§6). Only the right match
+  * group is buffered: the group's left rows are emitted one at a time, so the
+  * output queue holds one left row's outputs at most.
   *
   * '''Output coding.''' By the rules of [[JoinOutput]], with no further
   * column comparisons. A match's suffix is `right.key.drop(joinLen)`; an
@@ -66,6 +68,8 @@ object MergeJoinOp {
     private[this] val group =
       if (jt == JoinType.Inner || jt == JoinType.LeftOuter) mutable.ArrayBuffer.empty[(Array[Long], Array[Long])]
       else null
+    // True while `lRow` belongs to the match group `processMatch` collected.
+    private[this] var inGroup = false
 
     advL(); advR()
 
@@ -79,9 +83,10 @@ object MergeJoinOp {
 
     private def addR(): Unit = if (group != null) group += ((rRow.key.drop(joinLen), rRow.payload))
 
+    /** Collects the right-side group: successors whose capped code is the
+      * duplicate code share the join key — a single integer test, no columns.
+      */
     private def processMatch(): Unit = {
-      // Collect the right-side group: successors whose capped code is the
-      // duplicate code share the join key — a single integer test, no columns.
       if (group != null) group.clear()
       addR()
       advR()
@@ -91,21 +96,19 @@ object MergeJoinOp {
         if (Ovc.isDup(rCap)) { addR(); advR(); more = rRow != null }
         else more = false
       }
-      // Emit for every left row of the matching group, likewise detected by a
-      // duplicate capped code.
-      matched(lRow, group)
-      advL()
-      more = lRow != null
-      while (more) {
-        stats.codeComparisons += 1
-        if (Ovc.isDup(lCap)) { matched(lRow, group); advL(); more = lRow != null }
-        else more = false
-      }
+      inGroup = true
     }
 
+    // A match group's left rows are emitted one at a time, each one after the
+    // first likewise detected by a duplicate capped code.
     protected def fill(): Unit =
       while (out.isEmpty && lRow != null) {
-        if (rRow == null) { unmatched(lRow); advL() }
+        if (inGroup) {
+          matched(lRow, group)
+          advL()
+          inGroup = lRow != null && { stats.codeComparisons += 1; Ovc.isDup(lCap) }
+        }
+        else if (rRow == null) { unmatched(lRow); advL() }
         else {
           val c = cmp.compare(lRow.key, lCap, rRow.key, rCap)
           if (c < 0) { rCap = cmp.loserCode; unmatched(lRow); advL() }

@@ -15,16 +15,7 @@ import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 final class RleTable(val arity: Int, val numRows: Int,
                      values: Array[Array[Long]], lengths: Array[Array[Int]]) {
 
-  for (j <- values.indices) {
-    val vs = values(j)
-    var i = 0
-    while (i < vs.length) {
-      if ((vs(i) >>> Ovc.ValueBits) != 0L)
-        throw new IllegalArgumentException(
-          s"column $j run value ${vs(i)} is outside [0, 2^${Ovc.ValueBits})")
-      i += 1
-    }
-  }
+  for (j <- values.indices) values(j).foreach(Ovc.requireValue(j, _))
 
   /** Scan in stored order, emitting rows with their packed OVCs. The per-row
     * work is integer run bookkeeping only; `stats.columnComparisons` is never

@@ -1,6 +1,5 @@
 package repro.sort
 
-import java.io.Closeable
 import java.nio.file.Path
 import java.util.concurrent.{ForkJoinPool, ForkJoinTask, RecursiveAction}
 import java.util.concurrent.atomic.AtomicBoolean
@@ -14,10 +13,12 @@ import repro.core.{CodedRow, ERow, OvcStats}
   * each spilled run are a by-product), runs spill to real local files, and a
   * (possibly multi-level) merge with a loser tree produces the sorted, coded
   * output stream. Every tree whose output is spilled is drained straight into
-  * its run file, with no row object per row. Run generation of a spilling
-  * sort splits each chunk into P slices, P the largest power of two not
-  * above `Runtime.availableProcessors`: pool threads sort slices while the
-  * calling thread merges their rows as they come and writes the run (see
+  * its run file, with no row object per row. The run files go into one
+  * directory of the sort's own, made at its first run write and deleted by
+  * its output ([[SpillOutput]]). Run generation of a spilling sort splits
+  * each chunk into P slices, P the largest power of two not above
+  * `Runtime.availableProcessors`: pool threads sort slices while the calling
+  * thread merges their rows as they come and writes the run (see
   * [[RunGen]]). Everything else runs on the calling thread.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
@@ -44,12 +45,13 @@ object ExternalSort {
     * @param dedup    drop duplicate rows as early as possible (in-sort dedup)
     * @param fanIn    maximum merge fan-in before an extra merge level is added;
     *                 at least 2
-    * @param tmpDir   directory for the run files; by default the sort makes,
-    *                 and finally deletes, a temporary directory of its own
+    * @param tmpDir   where the sort makes the directory of its run files, which
+    *                 its output deletes ([[SpillOutput]]); null for the
+    *                 default temporary-file directory
     */
   def sort(input: Iterator[ERow], arity: Int, payloadArity: Int, memRows: Int,
            stats: OvcStats, spill: SpillStats, dedup: Boolean = false,
-           fanIn: Int = DefaultFanIn, tmpDir: Path = null): SortedStream =
+           fanIn: Int = DefaultFanIn, tmpDir: Path = null): SpillOutput[CodedRow] =
     sort(input, arity, payloadArity, memRows, stats, spill, dedup, fanIn, tmpDir,
          slicesFor(Runtime.getRuntime.availableProcessors()))
 
@@ -63,7 +65,7 @@ object ExternalSort {
     */
   private[sort] def sort(input: Iterator[ERow], arity: Int, payloadArity: Int, memRows: Int,
                          stats: OvcStats, spill: SpillStats, dedup: Boolean, fanIn: Int,
-                         tmpDir: Path, slices: Int): SortedStream = {
+                         tmpDir: Path, slices: Int): SpillOutput[CodedRow] = {
     require(memRows > 0, "memRows must be positive")
     require(fanIn >= 2, s"fanIn $fanIn: a merge needs at least 2 inputs")
     // One chunk buffer for all runs, grown up to memRows as rows arrive.
@@ -79,18 +81,15 @@ object ExternalSort {
     }
 
     var n = fill()
-    if (n == 0) return new SortedStream(Iterator.empty, Nil, null)
+    val out = new SpillOutput[CodedRow](tmpDir, "ovc-sort")
+    if (n == 0) return out
     if (!input.hasNext) // fits in memory: no spill
-      return new SortedStream(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup), Nil, null)
+      return out.of(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup))
 
-    val ownDir = if (tmpDir == null) RunFile.newTempDir("ovc-sort") else null
-    val dir = if (tmpDir != null) tmpDir else ownDir
-    // Runs of the current level, and runs already merged into the next.
-    var runs = Vector.empty[Path]
-    var merged = Vector.empty[Path]
-    try {
+    out.of {
       val gen = new RunGen(arity, stats, slices)
-      val write: LoserTree => Path = RunFile.write(dir, arity, payloadArity, _, dedup, spill)
+      val write: LoserTree => Path = RunFile.write(out.dir, arity, payloadArity, _, dedup, spill)
+      var runs = Vector.empty[Path]
       while (n > 0) {
         runs :+= gen.run(chunk, n)(write)
         n = fill()
@@ -99,22 +98,13 @@ object ExternalSort {
       // Intermediate merge levels only when the run count exceeds the fan-in.
       while (runs.size > fanIn) {
         spill.mergeLevels += 1
-        runs.grouped(fanIn).foreach { g =>
-          val tree = LoserTree.ofRuns(g.map(RunFile.reader(_, arity, payloadArity)), arity,
-                                      payloadArity, stats, dedup)
-          merged :+= write(tree)
-        }
-        runs = merged
-        merged = Vector.empty
+        runs = runs.grouped(fanIn).map { g =>
+          write(LoserTree.ofRuns(g.map(RunFile.reader(_, arity, payloadArity)), arity,
+                                 payloadArity, stats, dedup))
+        }.toVector
       }
 
-      val readers = runs.map(RunFile.reader(_, arity, payloadArity))
-      new SortedStream(LoserTree.ofRuns(readers, arity, payloadArity, stats, dedup), readers, ownDir)
-    } catch {
-      case t: Throwable =>
-        if (ownDir != null) RunFile.deleteDir(ownDir)
-        else (runs ++ merged).foreach(RunFile.delete)
-        throw t
+      LoserTree.ofRuns(runs.map(RunFile.reader(_, arity, payloadArity)), arity, payloadArity, stats, dedup)
     }
   }
 }
@@ -318,24 +308,4 @@ private[sort] object RunGen {
     val pool = ForkJoinTask.getPool
     if (pool != null) pool.getParallelism else ForkJoinPool.getCommonPoolParallelism
   }
-}
-
-/** The sorted, coded output of [[ExternalSort.sort]]. Closing it closes its
-  * run readers and deletes the sort's run files and, if the sort made one,
-  * its temporary directory; draining it does the same. A consumer that may
-  * stop early, such as a merge join, should close it.
-  */
-final class SortedStream private[sort] (rows: Iterator[CodedRow], readers: Seq[RunFile.Reader],
-                                        ownDir: Path) extends Iterator[CodedRow] with Closeable {
-  private[this] var closed = false
-
-  override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
-  override def next(): CodedRow = rows.next()
-
-  override def close(): Unit =
-    if (!closed) {
-      closed = true
-      readers.foreach(_.close())
-      if (ownDir != null) RunFile.deleteDir(ownDir)
-    }
 }

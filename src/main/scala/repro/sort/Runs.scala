@@ -57,8 +57,12 @@ object RunFile {
   /** The spill paths made here and not deleted yet. */
   private[repro] def livePaths: Set[Path] = live.asScala.toSet
 
-  def newTempDir(prefix: String): Path = {
-    val d = Files.createTempDirectory(prefix)
+  /** Makes a spill directory, named `prefix`..., under `parent`, or in the
+    * default temporary-file directory if `parent` is null.
+    */
+  private[sort] def newTempDir(parent: Path, prefix: String): Path = {
+    val d = if (parent == null) Files.createTempDirectory(prefix)
+            else Files.createTempDirectory(parent, prefix)
     live.add(d)
     d
   }
@@ -66,7 +70,7 @@ object RunFile {
   /** Deletes the spill file or empty directory `path`, if it exists, and
     * drops it from the live spill paths; closes its reader, if one is open.
     */
-  private[repro] def delete(path: Path): Unit = {
+  private[sort] def delete(path: Path): Unit = {
     val r = readers.remove(path)
     if (r != null) r.close()
     Files.deleteIfExists(path)
@@ -74,7 +78,7 @@ object RunFile {
   }
 
   /** Deletes `dir` and the files in it. */
-  private[repro] def deleteDir(dir: Path): Unit = {
+  private[sort] def deleteDir(dir: Path): Unit = {
     val files = Files.list(dir)
     try files.forEach(p => delete(p)) finally files.close()
     delete(dir)
@@ -237,4 +241,40 @@ object RunFile {
         delete(path)
       }
   }
+}
+
+/** The output of a spilling operator ([[ExternalSort.sort]], the grace-hash
+  * operators), which owns the one directory the operator spills into. The
+  * directory, named `prefix`..., is made at the operator's first run write
+  * ([[dir]]), under `tmpDir` if that is not null; an operator that never
+  * spills makes none. Closing the output, or draining it, deletes the
+  * directory with every run file in it, which closes any run reader still
+  * open on them. A consumer that may stop early, such as a merge join,
+  * should close it.
+  */
+final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
+    extends Iterator[A] with Closeable {
+  private[this] var rows: Iterator[A] = Iterator.empty
+  private[this] var made: Path = null
+  private[this] var closed = false
+
+  /** The directory to spill into, made at the first call. After [[close]]
+    * it names the deleted directory, so a late run write fails.
+    */
+  private[repro] def dir: Path = { if (made == null) made = RunFile.newTempDir(tmpDir, prefix); made }
+
+  /** Hands out `rows`, which the operator computes here; returns this
+    * output. If computing them throws, the directory is deleted first.
+    */
+  private[repro] def of(rows: => Iterator[A]): SpillOutput[A] =
+    try { this.rows = rows; this } catch { case t: Throwable => close(); throw t }
+
+  override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
+  override def next(): A = rows.next()
+
+  override def close(): Unit =
+    if (!closed) {
+      closed = true
+      if (made != null) RunFile.deleteDir(made)
+    }
 }

@@ -8,7 +8,7 @@ import scala.jdk.CollectionConverters._
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.core._
-import repro.sort.{RunFile, SpillStats}
+import repro.sort.{ExternalSort, RunFile, SpillStats}
 
 /** Exact spill and hashing counts of the grace-hash operators on fixed
   * inputs that overflow memory and recurse.
@@ -81,6 +81,16 @@ class HashSpillSpec extends AnyFunSuite {
       if (name == "semi join") assert(openFiles() < open, s"$name: open files $open, then ${openFiles()}")
     }
     assert((RunFile.livePaths -- before).isEmpty)
+  }
+
+  test("a sort and a hash group count whose input fits in memory make no spill path") {
+    val before = RunFile.livePaths
+    val rows = DataGen.randomRows(5000, 3, 20, seed = 11, payloadArity = 1)
+    val sorted = ExternalSort.sort(rows.iterator, 3, 1, 10000, new OvcStats, new SpillStats)
+    val groups = HashAgg.groupCount(rows.iterator, 3, 10000, new SpillStats, new OvcStats)
+    assert((RunFile.livePaths -- before).isEmpty)
+    assert(sorted.size == rows.length)
+    assert(groups.size == rows.map(_.key.toVector).distinct.length)
   }
 
   /** This JVM's open file descriptors, where the OS lists them. */

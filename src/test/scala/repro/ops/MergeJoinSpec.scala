@@ -97,6 +97,33 @@ class MergeJoinSpec extends AnyFunSuite {
     assert(MergeJoinOp(in1.iterator, 2, in2.iterator, 2, 2, JoinType.LeftAnti, stats).isEmpty)
   }
 
+  for ((jt, rightRows) <- Seq(JoinType.LeftSemi -> 1, JoinType.Inner -> 3)) {
+    test(s"$jt streams a 1 M-row left match group, pulling at most 2 left rows ahead of its output") {
+      // Left (7, i): one match group on column 0, coded row by row.
+      val n = 1000000
+      var pulled = 0L
+      val left = Iterator.tabulate(n) { i =>
+        pulled += 1
+        val key = Array(7L, i.toLong)
+        CodedRow(key, Ovc.codeAt(key, if (i == 0) 0 else 1), ERow.NoPayload)
+      }
+      val right = Ref.sortCoded(Array.tabulate(rightRows)(j => ERow(Array(7L, j.toLong))))
+      val out = MergeJoinOp(left, 2, right.iterator, 2, 1, jt, new OvcStats)
+      out.next()
+      assert(pulled <= 2, s"$pulled left rows pulled for the first output row")
+      // Left rows pulled beyond those whose outputs were handed out.
+      var emitted = 1L
+      var ahead = 0L
+      while (out.hasNext) {
+        out.next()
+        emitted += 1
+        ahead = math.max(ahead, pulled - emitted / rightRows)
+      }
+      assert(emitted == n.toLong * rightRows)
+      assert(ahead <= 2, s"$ahead left rows pulled ahead of the output")
+    }
+  }
+
   // ---- Lookup join (§4.8) ----
 
   test("lookup join matches merge join and skips lookups for duplicate outer keys") {

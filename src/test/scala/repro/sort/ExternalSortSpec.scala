@@ -145,7 +145,7 @@ class ExternalSortSpec extends AnyFunSuite with TimeLimits {
   }
 
   private def runFiles(dir: Path): Seq[Path] = {
-    val s = Files.list(dir)
+    val s = Files.walk(dir)
     try s.iterator().asScala.filter(_.getFileName.toString.matches("run.*\\.bin")).toVector
     finally s.close()
   }

@@ -1,6 +1,11 @@
 package repro.spark
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path}
+
+import scala.collection.mutable
+import scala.jdk.CollectionConverters._
+
+import org.scalatest.Outcome
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{CodedRow, ERow, OvcInvariants}
@@ -10,11 +15,24 @@ import repro.core.{CodedRow, ERow, OvcInvariants}
   */
 class OvcStoreSpec extends SparkSpec {
 
+  // The store directories the running test made; deleted when it ends.
+  private val dirs = mutable.ArrayBuffer.empty[Path]
+
   private def tmp(): String = {
-    val d = Files.createTempDirectory("ovcstore").toFile
-    d.deleteOnExit()
-    d.getAbsolutePath
+    val d = Files.createTempDirectory("ovcstore")
+    dirs += d
+    d.toString
   }
+
+  override def withFixture(test: NoArgTest): Outcome =
+    try super.withFixture(test)
+    finally {
+      dirs.foreach { d =>
+        val s = Files.walk(d)
+        try s.iterator().asScala.toVector.reverse.foreach(Files.delete) finally s.close()
+      }
+      dirs.clear()
+    }
 
   private def readStore(dir: String) =
     spark.read.format(classOf[OvcStoreProvider].getName).option("path", dir).load()
