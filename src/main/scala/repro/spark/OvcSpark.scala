@@ -1,12 +1,15 @@
 package repro.spark
 
+import java.nio.file.Paths
+
 import scala.reflect.ClassTag
 
 import org.apache.spark.TaskContext
 import org.apache.spark.rdd.RDD
-import org.apache.spark.sql.{Column, DataFrame, Row}
-import org.apache.spark.sql.catalyst.{CatalystTypeConverters, InternalRow}
-import org.apache.spark.sql.catalyst.expressions.GenericRow
+import org.apache.spark.sql.{Column, DataFrame, OvcShim}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, Literal, UnsafeProjection}
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType, StructField, StructType}
 
@@ -43,8 +46,10 @@ final case class KeyVec(xs: Array[Long]) extends Ordered[KeyVec] {
   * `mapPartitions`/`zipPartitions` for the operators themselves (the paper's
   * contribution is operator-internal), Catalyst exchanges for moving rows
   * (`repartitionByRange` where a global order is wanted, hash `repartition`
-  * where co-partitioning is enough), and native Catalyst `Expression`s
-  * ([[OvcExpressions]]) for decoding the artificial column in SQL.
+  * where co-partitioning is enough), output handed to Catalyst as
+  * `InternalRow`s with no encoder (`org.apache.spark.sql.OvcShim`), and
+  * native Catalyst `Expression`s ([[OvcExpressions]]) for decoding the
+  * artificial column in SQL.
   */
 object OvcSpark {
 
@@ -54,18 +59,22 @@ object OvcSpark {
     * Keys are checked as in [[orderedScan]].
     */
   def sortedWithOvc(df: DataFrame, keyCols: Seq[String]): DataFrame = {
-    val types = df.schema.fields.map(_.dataType)
-    val toScala = types.map(CatalystTypeConverters.createToScalaConverter)
     val arity = keyCols.length
-    val rows = orderedScan(df, keyCols, df.columns.toSeq.map(c => col(quoted(c)))) { (r, coded) =>
-      val values = new Array[Any](types.length + 1)
-      var i = 0
-      while (i < types.length) { values(i) = toScala(i)(r.get(arity + i, types(i))); i += 1 }
-      values(types.length) = coded.code
-      new GenericRow(values): Row
+    val fields = df.schema.fields
+    // The scanned row's columns after its keys, then a code slot set in place.
+    val outputs = fields.toSeq.zipWithIndex.map { case (f, i) =>
+      BoundReference(arity + i, f.dataType, f.nullable)
+    } :+ Literal(0L)
+    val rows = orderedScan(df, keyCols, df.columns.toSeq.map(c => col(quoted(c)))) { () =>
+      val project = UnsafeProjection.create(outputs)
+      (r, coded) => {
+        val out = project(r)
+        out.setLong(fields.length, coded.code)
+        out: InternalRow
+      }
     }
-    df.sparkSession.createDataFrame(rows,
-      StructType(df.schema.fields :+ StructField("ovc", LongType, nullable = false)))
+    OvcShim.internalDataFrame(df.sparkSession, rows,
+      StructType(fields :+ StructField("ovc", LongType, nullable = false)))
   }
 
   /** In-stream group count driven by the ordered scan's codes: one integer
@@ -78,10 +87,10 @@ object OvcSpark {
     val schema = StructType(
       keyCols.map(c => StructField(c, LongType, nullable = false)) :+
       StructField("cnt", LongType, nullable = false))
-    val rows = orderedScan(df, keyCols)((_, coded) => coded).mapPartitions { it =>
-      GroupAggOp.countByOvc(it, arity, arity, new OvcStats).map(g => Row.fromSeq(g.key.toSeq :+ g.payload(0)))
+    val rows = orderedScan(df, keyCols)(() => (_, coded) => coded).mapPartitions { it =>
+      longRows(GroupAggOp.countByOvc(it, arity, arity, new OvcStats), arity, payloadCols = 1)
     }
-    df.sparkSession.createDataFrame(rows, schema)
+    OvcShim.internalDataFrame(df.sparkSession, rows, schema)
   }
 
   /** `select keyCols from df1 intersect select keyCols from df2` executed the
@@ -115,21 +124,22 @@ object OvcSpark {
     val joined = hashed(df1).zipPartitions(hashed(df2)) { (i1, i2) =>
       val stats = new OvcStats
       val spill = new repro.sort.SpillStats
+      // Run files go where Spark puts its own spill on this executor.
+      val tmpDir = Paths.get(OvcShim.localDir())
       // The join stops pulling its right input when the left one ends, and a
       // task may fail or be cancelled: closing each sort when the task
       // completes deletes the run files left unread.
       def distinctSorted(it: Iterator[InternalRow]): Iterator[CodedRow] = {
         val sorted = ExternalSort.sort(it.map(r => ERow(longKey(r, arity))), arity, 0,
-                                       memRows = 1 << 20, stats, spill, dedup = true)
+                                       memRows = 1 << 20, stats, spill, dedup = true, tmpDir = tmpDir)
         TaskContext.get().addTaskCompletionListener[Unit](_ => sorted.close())
         sorted
       }
-      MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
-                  JoinType.LeftSemi, stats)
-        .map(r => Row.fromSeq(r.key.toSeq))
+      longRows(MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
+                           JoinType.LeftSemi, stats), arity, payloadCols = 0)
     }
     val schema = StructType(keyCols.map(c => StructField(c, LongType, nullable = false)))
-    spark.createDataFrame(joined, schema)
+    OvcShim.internalDataFrame(spark, joined, schema)
   }
 
   /** `keyCols` of `df`, each resolved by its exact name, cast to `bigint` and
@@ -147,18 +157,20 @@ object OvcSpark {
   /** The ordered scan (§4.10): `df` range-partitioned and sorted within
     * partitions on [[bigintKeys]], projected to those keys followed by
     * `rest`, with each row's key coded against its partition predecessor.
-    * `emit` gets each projected row, valid only during the call, and its
-    * coded key. A key column [[bigintKeys]] refuses raises
-    * `IllegalArgumentException` here, and a null key, or a key outside
-    * [0, 2^48), raises it when its row is read.
+    * `emitter` is called once per partition; the function it returns gets
+    * each projected row, valid only during the call, and its coded key. A
+    * key column [[bigintKeys]] refuses raises `IllegalArgumentException`
+    * here, and a null key, or a key outside [0, 2^48), raises it when its
+    * row is read.
     */
   private[spark] def orderedScan[T: ClassTag](df: DataFrame, keyCols: Seq[String],
                                               rest: Seq[Column] = Nil)(
-      emit: (InternalRow, CodedRow) => T): RDD[T] = {
+      emitter: () => (InternalRow, CodedRow) => T): RDD[T] = {
     val arity = keyCols.length
     val keys = bigintKeys(df, keyCols)
     df.repartitionByRange(keys: _*).sortWithinPartitions(keys: _*).select(keys ++ rest: _*)
       .queryExecution.toRdd.mapPartitions { it =>
+        val emit = emitter()
         val junk = new OvcStats
         var prev: Array[Long] = null
         it.map { r =>
@@ -169,6 +181,22 @@ object OvcSpark {
           emit(r, CodedRow(key, code, ERow.NoPayload))
         }
       }
+  }
+
+  /** `rows` as Catalyst rows of non-null `bigint`s: each row's key, then the
+    * first `payloadCols` values of its payload. Every row is written into one
+    * reused `UnsafeRow`, valid until the next row is read, as Spark's own
+    * operators emit theirs.
+    */
+  private def longRows(rows: Iterator[CodedRow], arity: Int, payloadCols: Int): Iterator[InternalRow] = {
+    val w = new UnsafeRowWriter(arity + payloadCols)
+    rows.map { r =>
+      w.reset()
+      var i = 0
+      while (i < arity) { w.write(i, r.key(i)); i += 1 }
+      while (i < arity + payloadCols) { w.write(i, r.payload(i - arity)); i += 1 }
+      w.getRow
+    }
   }
 
   /** A column name as a quoted identifier, so that Catalyst resolves it as

@@ -5,7 +5,7 @@ import java.util
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.GenericInternalRow
+import org.apache.spark.sql.catalyst.expressions.codegen.UnsafeRowWriter
 import org.apache.spark.sql.connector.catalog.{SupportsRead, Table, TableCapability, TableProvider}
 import org.apache.spark.sql.connector.expressions.Transform
 import org.apache.spark.sql.connector.read.{Batch, InputPartition, PartitionReader, PartitionReaderFactory, Scan, ScanBuilder}
@@ -33,32 +33,35 @@ object OvcStore {
   /** Write `df` (projected to `keyCols`, checked as in
     * [[OvcSpark.orderedScan]]) as a sorted, prefix-truncated store under
     * `dir`, one file per range partition of the ordered scan. Returns the
-    * per-partition row counts.
+    * per-partition row counts. A partition whose write fails deletes its
+    * file, so a scan never lists a file without its end marker.
     */
   def write(df: DataFrame, keyCols: Seq[String], dir: String): Array[Long] = {
     val arity = keyCols.length
     val d = new File(dir)
     require(d.isDirectory || d.mkdirs(), s"cannot create $dir")
     val names = keyCols.toArray
-    OvcSpark.orderedScan(df, keyCols)((_, coded) => coded).mapPartitionsWithIndex { (pid, it) =>
+    OvcSpark.orderedScan(df, keyCols)(() => (_, coded) => coded).mapPartitionsWithIndex { (pid, it) =>
       val f = new File(d, f"part-$pid%05d.ovc")
       val out = new DataOutputStream(new BufferedOutputStream(new FileOutputStream(f), 1 << 16))
       var n = 0L
       try {
-        out.writeInt(Magic)
-        out.writeInt(arity)
-        names.foreach(out.writeUTF)
-        it.foreach { r =>
-          // Prefix truncation: offset = shared prefix with the predecessor.
-          val off = Ovc.offsetOf(r.code, arity)
-          out.writeByte(1)
-          out.writeByte(off)
-          var j = off
-          while (j < arity) { out.writeLong(r.key(j)); j += 1 }
-          n += 1
-        }
-        out.writeByte(0)
-      } finally out.close()
+        try {
+          out.writeInt(Magic)
+          out.writeInt(arity)
+          names.foreach(out.writeUTF)
+          it.foreach { r =>
+            // Prefix truncation: offset = shared prefix with the predecessor.
+            val off = Ovc.offsetOf(r.code, arity)
+            out.writeByte(1)
+            out.writeByte(off)
+            var j = off
+            while (j < arity) { out.writeLong(r.key(j)); j += 1 }
+            n += 1
+          }
+          out.writeByte(0)
+        } finally out.close()
+      } catch { case e: Throwable => f.delete(); throw e }
       Iterator.single(n)
     }.collect()
   }
@@ -131,34 +134,32 @@ final class OvcStoreScan(path: String, val readSchema0: StructType) extends Scan
 /** Decodes one prefix-truncated file; per row the offset-value code is built
   * from the stored offset and first suffix value alone ([[Ovc.codeAt]], no
   * comparisons). A file's first row is stored with offset 0, so its code is
-  * [[Ovc.initial]].
+  * [[Ovc.initial]]. Every row is written into one reused `UnsafeRow`.
   */
 final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
   private[this] val in = new DataInputStream(new BufferedInputStream(new FileInputStream(file), 1 << 16))
-  private[this] val arity = {
-    require(in.readInt() == OvcStore.Magic, s"$file is not an OvcStore file")
-    val a = in.readInt()
-    (0 until a).foreach(_ => in.readUTF()) // column names (schema already known)
-    a
-  }
+  private[this] val arity =
+    try {
+      require(in.readInt() == OvcStore.Magic, s"$file is not an OvcStore file")
+      val a = in.readInt()
+      (0 until a).foreach(_ => in.readUTF()) // column names (schema already known)
+      a
+    } catch { case e: Throwable => in.close(); throw e }
   private[this] val key = new Array[Long](arity)
-  private[this] var current: InternalRow = null
+  private[this] val row = new UnsafeRowWriter(arity + 1)
 
-  override def next(): Boolean = {
-    if (in.readByte() == 0) { current = null; false }
-    else {
+  override def next(): Boolean =
+    in.readByte() != 0 && {
       val off = in.readByte().toInt
       var j = off
       while (j < arity) { key(j) = in.readLong(); j += 1 }
-      val values = new Array[Any](arity + 1)
+      row.reset()
       j = 0
-      while (j < arity) { values(j) = key(j); j += 1 }
-      values(arity) = Ovc.codeAt(key, off)
-      current = new GenericInternalRow(values)
+      while (j < arity) { row.write(j, key(j)); j += 1 }
+      row.write(arity, Ovc.codeAt(key, off))
       true
     }
-  }
 
-  override def get(): InternalRow = current
+  override def get(): InternalRow = row.getRow
   override def close(): Unit = in.close()
 }

@@ -93,6 +93,23 @@ class OvcStoreSpec extends SparkSpec {
     assert(e.getMessage.contains("no OvcStore files"))
   }
 
+  test("a write over a negative key throws IllegalArgumentException and leaves no truncated file") {
+    import spark.implicits._
+    // One range partition, so the one task that fails is the whole write:
+    // its file holds the header and the row before the negative key.
+    val partitions = "spark.sql.shuffle.partitions"
+    val saved = spark.conf.get(partitions)
+    val dir = tmp()
+    try {
+      spark.conf.set(partitions, "1")
+      val df = Seq((1L, 2L), (3L, -4L), (5L, 6L)).toDF("a", "b")
+      val e = intercept[Exception](OvcStore.write(df, Seq("a", "b"), dir))
+      def rootCause(t: Throwable): Throwable = if (t.getCause == null) t else rootCause(t.getCause)
+      assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
+    } finally spark.conf.set(partitions, saved)
+    assert(new java.io.File(dir).list().toSeq == Nil)
+  }
+
   test("store scan of lineitem keys feeds OVC grouping with oracle-checked results") {
     val li = SynthData.lineitem(spark, sf = 0.01).select("l_orderkey", "l_linenumber")
     val dir = tmp()

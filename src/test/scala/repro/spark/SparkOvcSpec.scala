@@ -2,7 +2,7 @@ package repro.spark
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.Row
+import org.apache.spark.sql.{OvcShim, Row}
 
 import repro.{Oracle, SparkSpec, SynthData}
 import repro.core.{Ovc, OvcInvariants, CodedRow, ERow}
@@ -188,11 +188,13 @@ class SparkOvcSpec extends SparkSpec {
     val n = (1L << 20) + 1000
     val t1 = spark.range(n).selectExpr("id AS k")
     val t2 = spark.range(n).selectExpr("id * 2 AS k")
-    def sortDirs(): Set[java.nio.file.Path] = {
-      val tmp = java.nio.file.Paths.get(System.getProperty("java.io.tmpdir"))
-      val ls = java.nio.file.Files.newDirectoryStream(tmp, "ovc-sort*")
-      try ls.asScala.toSet finally ls.close()
-    }
+    // The sorts spill under Spark's local directory; java.io.tmpdir is
+    // checked too, so that a sort spilling there still shows.
+    def sortDirs(): Set[java.nio.file.Path] =
+      Seq(OvcShim.localDir(), System.getProperty("java.io.tmpdir")).toSet.flatMap { d: String =>
+        val ls = java.nio.file.Files.newDirectoryStream(java.nio.file.Paths.get(d), "ovc-sort*")
+        try ls.asScala.toSet finally ls.close()
+      }
     val before = sortDirs()
     assert(OvcSpark.intersectDistinct(t1, t2, Seq("k"), numPartitions = 1).count() == n / 2)
     assert(sortDirs() -- before == Set.empty)
