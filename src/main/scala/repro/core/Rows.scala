@@ -30,6 +30,44 @@ final case class CodedRow(key: Array[Long], code: Long, payload: Array[Long]) {
     s"CodedRow(${key.mkString("[", ",", "]")}, code=$code, ${payload.mkString("[", ",", "]")})"
 }
 
+/** A sorted, coded stream read in place. Once [[move]] has returned true,
+  * [[key]], [[code]] and [[payload]] are the current row's, valid until the
+  * cursor moves again: the cursor may reuse the arrays for a later row. A
+  * consumer that keeps the row takes [[row]], which returns it as a lasting
+  * [[CodedRow]] under the row contract.
+  */
+trait CodedCursor {
+  /** Moves to the next row; false once the stream has ended. */
+  def move(): Boolean
+  def key: Array[Long]
+  def code: Long
+  def payload: Array[Long]
+
+  /** The current row as a lasting row with code `code`: its own, or the
+    * code a fold over dropped rows gives it (§4.1).
+    */
+  def row(code: Long): CodedRow
+
+  final def row(): CodedRow = row(code)
+}
+
+object CodedCursor {
+
+  /** The pass-through adapter: a cursor over `rows` whose current row is
+    * the input row itself, which [[row]] returns unless given another code.
+    * Each move is one `hasNext` and, if true, one `next()` on `rows`.
+    */
+  final class Rows(rows: Iterator[CodedRow]) extends CodedCursor {
+    private[this] var r: CodedRow = null
+
+    def move(): Boolean = { r = if (rows.hasNext) rows.next() else null; r != null }
+    def key: Array[Long] = r.key
+    def code: Long = r.code
+    def payload: Array[Long] = r.payload
+    def row(code: Long): CodedRow = if (code == r.code) r else CodedRow(r.key, code, r.payload)
+  }
+}
+
 /** Invariant checks shared by tests and debug assertions. */
 object OvcInvariants {
 

@@ -4,7 +4,7 @@ import java.nio.file.Path
 
 import scala.collection.mutable
 
-import repro.core.{CodedRow, ERow, OvcStats}
+import repro.core.{ERow, Ovc, OvcStats}
 import repro.sort.{RunFile, SpillOutput, SpillStats}
 
 /** Hashable wrapper for a key array; computing the hash touches every column
@@ -29,10 +29,10 @@ final class LongsKey(val xs: Array[Long]) {
   * [[SpillWriter.Partitions]] partitions by a level-salted hash of their key:
   * recursion levels must not reuse the parent's partitioning function, or an
   * oversized partition would map back into a single bucket and never shrink.
-  * Each partition buffers rows in batches and writes them through [[RunFile]]
-  * into `out`'s directory as code-0 rows with a one-column payload (the row's
-  * first payload column, or `emptyPayload`), so spill accounting and file I/O
-  * are real.
+  * Each partition buffers rows in batches and writes them through
+  * [[RunFile]]'s row writer into `out`'s directory as code-0 rows with a
+  * one-column payload (the row's first payload column, or `emptyPayload`),
+  * so spill accounting and file I/O are real.
   */
 private[hash] final class SpillWriter(out: SpillOutput[ERow], arity: Int, level: Int,
                                       spill: SpillStats, emptyPayload: Long) {
@@ -40,6 +40,8 @@ private[hash] final class SpillWriter(out: SpillOutput[ERow], arity: Int, level:
 
   private[this] val batches = Array.fill(Partitions)(new mutable.ArrayBuffer[ERow]())
   private[this] val files = Array.fill(Partitions)(mutable.ArrayBuffer.empty[Path])
+  // The payload column of the row being written.
+  private[this] val pay = new Array[Long](1)
 
   /** Buffers `r`, whose key hashes to `h`, in its partition. */
   def add(r: ERow, h: Int): Unit = {
@@ -51,8 +53,12 @@ private[hash] final class SpillWriter(out: SpillOutput[ERow], arity: Int, level:
 
   private def flush(p: Int): Unit =
     if (batches(p).nonEmpty) {
-      files(p) += RunFile.write(out.dir, arity, 1, batches(p).iterator.map(r =>
-        CodedRow(r.key, 0L, Array(if (r.payload.isEmpty) emptyPayload else r.payload(0)))), spill)
+      files(p) += RunFile.writeRun(out.dir, arity, 1, spill) { w =>
+        batches(p).foreach { r =>
+          pay(0) = if (r.payload.isEmpty) emptyPayload else r.payload(0)
+          w.put(r.key, 0L, pay)
+        }
+      }
       batches(p).clear()
     }
 
@@ -67,9 +73,16 @@ private[hash] object SpillWriter {
   val Partitions: Int = 16
   val BatchRows: Int = 65536
 
-  /** Reads one partition's files back as rows with their one-column payload. */
+  /** Reads one partition's files back as rows with their one-column payload:
+    * the `takeWhile` test decodes each row straight into a fresh row's
+    * arrays, and ends at the end of the run.
+    */
   def read(files: Vector[Path], arity: Int): Iterator[ERow] =
-    files.iterator.flatMap(f => RunFile.reader(f, arity, 1).map(c => ERow(c.key, c.payload)))
+    files.iterator.flatMap { f =>
+      val in = RunFile.reader(f, arity, 1)
+      Iterator.continually(ERow(new Array[Long](arity), new Array[Long](1)))
+        .takeWhile(r => in.read(r.key, r.payload) != Ovc.LateFence)
+    }
 }
 
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table

@@ -2,7 +2,8 @@ package repro.ops
 
 import scala.collection.mutable
 
-import repro.core.{CodedRow, Ovc, OvcComparator, OvcStats}
+import repro.core.{CodedCursor, CodedRow, Ovc, OvcComparator, OvcStats}
+import repro.sort.SpillOutput
 
 /** Join types supported by [[MergeJoinOp]] and [[LookupJoinOp]]. Right-sided
   * variants follow by swapping inputs; set operations map onto these (§4.7):
@@ -32,6 +33,13 @@ object JoinType {
   * group is buffered: the group's left rows are emitted one at a time, so the
   * output queue holds one left row's outputs at most.
   *
+  * '''Cursors.''' Both inputs are read through cursors
+  * ([[repro.sort.SpillOutput.cursor]]): a sort's output through its tree's
+  * cursor, any other stream through a pass-through adapter. The join decides
+  * from the cursors' keys and codes and takes a left row as a row object
+  * only to emit it. A right match group keeps copies of its suffixes and
+  * payloads, because a cursor reuses its arrays.
+  *
   * '''Output coding.''' By the rules of [[JoinOutput]], with no further
   * column comparisons. A match's suffix is `right.key.drop(joinLen)`; an
   * outer join's null extension covers that suffix and the right payload.
@@ -45,22 +53,24 @@ object MergeJoinOp {
             nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= leftArity && joinLen <= rightArity,
             s"bad joinLen $joinLen for arities $leftArity/$rightArity")
-    new MergeJoinIterator(left, leftArity, right, rightArity, joinLen, jt, stats,
-                          rightPayloadArity, nullSentinel)
+    new MergeJoinIterator(SpillOutput.cursor(left), leftArity, SpillOutput.cursor(right),
+                          rightArity, joinLen, jt, stats, rightPayloadArity, nullSentinel)
   }
 
   private final class MergeJoinIterator(
-      left: Iterator[CodedRow], leftArity: Int,
-      right: Iterator[CodedRow], rightArity: Int,
+      left: CodedCursor, leftArity: Int,
+      right: CodedCursor, rightArity: Int,
       joinLen: Int, jt: JoinType, stats: OvcStats,
       rightPayloadArity: Int, nullSentinel: Long)
       extends JoinOutput(jt, rightArity - joinLen + rightPayloadArity, nullSentinel) {
 
     private[this] val cmp = new OvcComparator(joinLen, stats)
 
-    private[this] var lRow: CodedRow = null
+    // Whether each cursor is on a row, and that row's code capped to the
+    // join prefix.
+    private[this] var lLive = false
     private[this] var lCap: Long = Ovc.LateFence
-    private[this] var rRow: CodedRow = null
+    private[this] var rLive = false
     private[this] var rCap: Long = Ovc.LateFence
 
     // The right match group's suffixes and payloads, which only inner and
@@ -68,20 +78,27 @@ object MergeJoinOp {
     private[this] val group =
       if (jt == JoinType.Inner || jt == JoinType.LeftOuter) mutable.ArrayBuffer.empty[(Array[Long], Array[Long])]
       else null
-    // True while `lRow` belongs to the match group `processMatch` collected.
+    // True while the left row belongs to the match group `processMatch`
+    // collected.
     private[this] var inGroup = false
 
     advL(); advR()
 
-    private def advL(): Unit =
-      if (left.hasNext) { lRow = left.next(); lCap = Ovc.recode(lRow.code, leftArity, joinLen) }
-      else { lRow = null; lCap = Ovc.LateFence }
+    private def advL(): Unit = {
+      lLive = left.move()
+      lCap = if (lLive) Ovc.recode(left.code, leftArity, joinLen) else Ovc.LateFence
+    }
 
-    private def advR(): Unit =
-      if (right.hasNext) { rRow = right.next(); rCap = Ovc.recode(rRow.code, rightArity, joinLen) }
-      else { rRow = null; rCap = Ovc.LateFence }
+    private def advR(): Unit = {
+      rLive = right.move()
+      rCap = if (rLive) Ovc.recode(right.code, rightArity, joinLen) else Ovc.LateFence
+    }
 
-    private def addR(): Unit = if (group != null) group += ((rRow.key.drop(joinLen), rRow.payload))
+    private def addR(): Unit =
+      if (group != null) {
+        val p = right.payload
+        group += ((right.key.drop(joinLen), if (p.length == 0) p else p.clone()))
+      }
 
     /** Collects the right-side group: successors whose capped code is the
       * duplicate code share the join key — a single integer test, no columns.
@@ -90,10 +107,10 @@ object MergeJoinOp {
       if (group != null) group.clear()
       addR()
       advR()
-      var more = rRow != null
+      var more = rLive
       while (more) {
         stats.codeComparisons += 1
-        if (Ovc.isDup(rCap)) { addR(); advR(); more = rRow != null }
+        if (Ovc.isDup(rCap)) { addR(); advR(); more = rLive }
         else more = false
       }
       inGroup = true
@@ -102,16 +119,16 @@ object MergeJoinOp {
     // A match group's left rows are emitted one at a time, each one after the
     // first likewise detected by a duplicate capped code.
     protected def fill(): Unit =
-      while (out.isEmpty && lRow != null) {
+      while (out.isEmpty && lLive) {
         if (inGroup) {
-          matched(lRow, group)
+          matched(left, group)
           advL()
-          inGroup = lRow != null && { stats.codeComparisons += 1; Ovc.isDup(lCap) }
+          inGroup = lLive && { stats.codeComparisons += 1; Ovc.isDup(lCap) }
         }
-        else if (rRow == null) { unmatched(lRow); advL() }
+        else if (!rLive) { unmatched(left); advL() }
         else {
-          val c = cmp.compare(lRow.key, lCap, rRow.key, rCap)
-          if (c < 0) { rCap = cmp.loserCode; unmatched(lRow); advL() }
+          val c = cmp.compare(left.key, lCap, right.key, rCap)
+          if (c < 0) { rCap = cmp.loserCode; unmatched(left); advL() }
           else if (c > 0) { lCap = cmp.loserCode; advR() }
           else processMatch()
         }
@@ -122,12 +139,14 @@ object MergeJoinOp {
 /** Output coding shared by [[MergeJoinOp]] and [[LookupJoinOp]] (§4.7, §4.8).
   * The output is ordered and keyed on the left (outer) key. Left rows dropped
   * by the join fold their codes into the next output row ([[MaxFold]], §4.1),
-  * and a semi or anti join passes a kept left row through ([[MaxFold.pass]]);
+  * and a semi or anti join emits a kept left row as it is, with the folded
+  * code ([[CodedCursor.row]]);
   * extra outputs of one left row (multiple matches) carry the duplicate code.
   * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
   * an outer join extends an unmatched left row by `nulls` copies of
   * `nullSentinel`. Subclasses queue output in `fill` through [[unmatched]]
-  * and [[matched]].
+  * and [[matched]], given the left input's cursor on the row, which is
+  * taken as a row object ([[CodedCursor.row]]) only if it is emitted.
   */
 private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: Long)
     extends Iterator[CodedRow] {
@@ -138,29 +157,31 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
   /** Queues output until `out` is non-empty or the input ends. */
   protected def fill(): Unit
 
-  protected def unmatched(l: CodedRow): Unit = jt match {
+  protected def unmatched(l: CodedCursor): Unit = jt match {
     case JoinType.Inner | JoinType.LeftSemi => fold.drop(l.code)
-    case JoinType.LeftAnti => out += fold.pass(l)
+    case JoinType.LeftAnti => out += l.row(fold.keep(l.code))
     case JoinType.LeftOuter =>
-      val p = java.util.Arrays.copyOf(l.payload, l.payload.length + nulls)
-      java.util.Arrays.fill(p, l.payload.length, p.length, nullSentinel)
-      out += CodedRow(l.key, fold.keep(l.code), p)
+      val r = l.row()
+      val p = java.util.Arrays.copyOf(r.payload, r.payload.length + nulls)
+      java.util.Arrays.fill(p, r.payload.length, p.length, nullSentinel)
+      out += CodedRow(r.key, fold.keep(r.code), p)
   }
 
-  protected def matched(l: CodedRow, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
+  protected def matched(l: CodedCursor, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
     jt match {
-      case JoinType.LeftSemi => out += fold.pass(l)
+      case JoinType.LeftSemi => out += l.row(fold.keep(l.code))
       case JoinType.LeftAnti => fold.drop(l.code)
       case JoinType.Inner | JoinType.LeftOuter =>
-        var code = fold.keep(l.code)
+        val r = l.row()
+        var code = fold.keep(r.code)
         var i = 0
         while (i < group.length) {
           val suffix = group(i)._1
           val pay = group(i)._2
-          val p = java.util.Arrays.copyOf(l.payload, l.payload.length + suffix.length + pay.length)
-          System.arraycopy(suffix, 0, p, l.payload.length, suffix.length)
-          System.arraycopy(pay, 0, p, l.payload.length + suffix.length, pay.length)
-          out += CodedRow(l.key, code, p)
+          val p = java.util.Arrays.copyOf(r.payload, r.payload.length + suffix.length + pay.length)
+          System.arraycopy(suffix, 0, p, r.payload.length, suffix.length)
+          System.arraycopy(pay, 0, p, r.payload.length + suffix.length, pay.length)
+          out += CodedRow(r.key, code, p)
           code = 0L // duplicate left key in the output
           i += 1
         }
@@ -174,7 +195,8 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
   * is sorted and coded on its key; `lookup` fetches the inner matches for a
   * join-key prefix. An outer row whose capped code is the duplicate code
   * reuses the previous lookup result without calling `lookup` — offset-value
-  * codes save the index probe as well as all comparisons.
+  * codes save the index probe as well as all comparisons. The outer input is
+  * read through a cursor, as [[MergeJoinOp]] reads its inputs.
   */
 object LookupJoinOp {
 
@@ -188,11 +210,11 @@ object LookupJoinOp {
             nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= outerArity)
     new JoinOutput(jt, nullSentinelArity, nullSentinel) {
+      private[this] val l = SpillOutput.cursor(outer)
       private[this] var cached: IndexedSeq[(Array[Long], Array[Long])] = null
 
       protected def fill(): Unit =
-        while (out.isEmpty && outer.hasNext) {
-          val l = outer.next()
+        while (out.isEmpty && l.move()) {
           stats.codeComparisons += 1
           if (cached == null || Ovc.isBoundary(l.code, outerArity, joinLen)) {
             lookupStats.calls += 1

@@ -32,8 +32,10 @@ import repro.core.{CodedRow, ERow, OvcStats}
   * the rows it emits.
   *
   * Merges decode each run's rows straight into their tree's entries
-  * ([[LoserTree.ofRuns]]): a row of a run costs a key array and a row object
-  * only if the final merge emits it.
+  * ([[LoserTree.ofRuns]]). The output may be read through its final tree's
+  * cursor ([[SpillOutput.cursor]]), as [[repro.ops.MergeJoinOp]] reads it: a
+  * row of a run then costs a key array and a row object only if its
+  * consumer keeps it.
   */
 object ExternalSort {
 

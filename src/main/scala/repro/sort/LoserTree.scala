@@ -41,7 +41,11 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   * keeps the row contract. Besides the iterator, the tree offers its
   * current winner in place ([[headKey]], [[headCode]], [[headPayload]]) and
   * [[advance]], so that [[RunFile]] can write a run, or [[RunGen]] a sorted
-  * slice, from it without building a row object per row.
+  * slice, from it without building a row object per row; and a cursor
+  * ([[move]], [[row]]), through which a consumer such as a merge join reads
+  * the rows it drops without a row object or an array per row. A row of a
+  * run thus costs a key array and a row object only if its consumer keeps
+  * it.
   *
   * With `dedup`, [[hasNext]] and [[next]] skip winners with the duplicate
   * code 0 (in-sort duplicate removal, §4.4): the tree plays the matches a
@@ -140,6 +144,48 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
     out
   }
 
+  // The cursor's row (see [[move]]): the key and payload arrays it took
+  // from the winner's entry, and its code. `kept` is true while the cursor
+  // holds no pair to give back: before its first move, and after [[row]]
+  // handed its arrays out.
+  private[this] var rowKey: Array[Long] = null
+  private[this] var rowPayload: Array[Long] = null
+  private[this] var rowCode = 0L
+  private[this] var kept = true
+
+  /** The tree as a cursor ([[SpillOutput.cursor]]): moves to the next
+    * winner, playing exactly the matches [[hasNext]] and [[next]] play. It
+    * skips duplicates lazily, takes the winner's key and payload arrays as
+    * its row, and advances eagerly. Into the winner's slots it puts the pair
+    * its last row used, so that a source that fills slots in place decodes
+    * the successor into arrays no one holds; it allocates nothing unless
+    * [[row]] handed that pair out, when the source makes fresh slots. A tree
+    * is read either as an iterator or as a cursor.
+    */
+  private[sort] def move(): Boolean = {
+    skipDuplicates()
+    winnerCode != Ovc.LateFence && {
+      val w = winner
+      val k = keys(w)
+      val p = payloads(w)
+      if (kept) leaves.handedOut(w, keys, payloads)
+      else { keys(w) = rowKey; payloads(w) = rowPayload }
+      rowKey = k; rowPayload = p; rowCode = winnerCode; kept = false
+      advance()
+      true
+    }
+  }
+
+  /** The cursor's row, valid until the next [[move]]. */
+  private[sort] def cursorKey: Array[Long] = rowKey
+  private[sort] def cursorCode: Long = rowCode
+  private[sort] def cursorPayload: Array[Long] = rowPayload
+
+  /** The cursor's row as a lasting row with code `code`, which keeps its
+    * arrays.
+    */
+  private[sort] def row(code: Long): CodedRow = { kept = true; CodedRow(rowKey, code, rowPayload) }
+
   /** The current winner's key, code and payload; valid once [[hasNext]]
     * returned true, until the next [[advance]].
     */
@@ -236,7 +282,9 @@ object LoserTree {
     * once the entry has no row left. A load either stores the row's own
     * arrays in the slots, or copies the row into arrays the source put
     * there; a source of the second kind puts fresh arrays in an entry's
-    * slots when the tree hands the entry's row out ([[handedOut]]).
+    * slots when the tree hands the entry's row out ([[handedOut]]). A tree
+    * read as a cursor may instead put arrays of its own in the slots, of
+    * the shape the source put there, which a load of either kind accepts.
     */
   private[sort] abstract class Leaves(val count: Int) {
     /** Loads entry `e`'s first row. */

@@ -9,7 +9,7 @@ import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
 import scala.util.control.NonFatal
 
-import repro.core.{CodedRow, Ovc}
+import repro.core.{CodedCursor, CodedRow, Ovc}
 
 /** Spill accounting for external algorithms: the unit the paper's Figure 3
   * argues about is "rows spilled to temporary storage".
@@ -107,10 +107,11 @@ object RunFile {
       }
     }
 
-  /** Creates a run file, lets `fill` put its rows, and ends the run. If
-    * anything throws, the partial file is deleted and `spill` is unchanged.
+  /** Creates a run file, lets `fill` put its rows, and ends the run;
+    * returns the file path. If anything throws, the partial file is deleted
+    * and `spill` is unchanged.
     */
-  private def writeRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)
+  private[repro] def writeRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)
                       (fill: RowWriter => Unit): Path = {
     val path = Files.createTempFile(dir, "run", ".bin")
     live.add(path)
@@ -127,7 +128,7 @@ object RunFile {
   }
 
   /** Puts rows into a run file through one buffer. */
-  private final class RowWriter(ch: FileChannel, arity: Int, payloadArity: Int) {
+  private[repro] final class RowWriter private[RunFile] (ch: FileChannel, arity: Int, payloadArity: Int) {
     private[this] val rowSize = rowBytes(arity, payloadArity)
     private[this] val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize))
     var rows = 0L
@@ -186,10 +187,11 @@ object RunFile {
 
     /** Decodes the next row into `key` and `payload` and returns its code;
       * once the run has ended, closes the reader and returns the late fence.
-      * A merge reads its runs this way, into slots it reuses; the iterator
-      * gives every row arrays of its own.
+      * A merge reads its runs this way, into slots it reuses, and a hash
+      * partition into each row's own arrays; the iterator gives every row
+      * arrays of its own.
       */
-    private[sort] def read(key: Array[Long], payload: Array[Long]): Long =
+    private[repro] def read(key: Array[Long], payload: Array[Long]): Long =
       if (more()) decode(key, payload) else Ovc.LateFence
 
     /** Reads the marker byte in front of the next row: true if a row
@@ -250,11 +252,12 @@ object RunFile {
   * spills makes none. Closing the output, or draining it, deletes the
   * directory with every run file in it, which closes any run reader still
   * open on them. A consumer that may stop early, such as a merge join,
-  * should close it.
+  * should close it. A sort's output may also be read through a cursor
+  * ([[SpillOutput.cursor]]).
   */
 final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
     extends Iterator[A] with Closeable {
-  private[this] var rows: Iterator[A] = Iterator.empty
+  private var rows: Iterator[A] = Iterator.empty
   private[this] var made: Path = null
   private[this] var closed = false
 
@@ -277,4 +280,32 @@ final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
       closed = true
       if (made != null) RunFile.deleteDir(made)
     }
+
+  /** This output read through the cursor of `tree`, the tree that computes
+    * it; like [[hasNext]], a move that finds the end closes the output.
+    */
+  private final class TreeCursor(tree: LoserTree) extends CodedCursor {
+    def move(): Boolean = !closed && (tree.move() || { close(); false })
+    def key: Array[Long] = tree.cursorKey
+    def code: Long = tree.cursorCode
+    def payload: Array[Long] = tree.cursorPayload
+    def row(code: Long): CodedRow = tree.row(code)
+  }
+}
+
+object SpillOutput {
+
+  /** `rows` read through a cursor: a sort's output through its tree's
+    * cursor ([[LoserTree.move]]), which builds a row object, and for a run's
+    * rows key and payload arrays, only for a row the consumer takes with
+    * [[CodedCursor.row]]; any other stream through the pass-through
+    * adapter. An output is read either as an iterator or through one cursor.
+    */
+  private[repro] def cursor(rows: Iterator[CodedRow]): CodedCursor = rows match {
+    case out: SpillOutput[_] => out.rows match {
+      case tree: LoserTree => new out.TreeCursor(tree)
+      case _ => new CodedCursor.Rows(rows)
+    }
+    case _ => new CodedCursor.Rows(rows)
+  }
 }

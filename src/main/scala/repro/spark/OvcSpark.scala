@@ -108,7 +108,12 @@ object OvcSpark {
     * read, and a key outside [0, 2^48) when its partition is sorted.
     */
   def intersectDistinct(df1: DataFrame, df2: DataFrame, keyCols: Seq[String],
-                        numPartitions: Int = 0): DataFrame = {
+                        numPartitions: Int = 0): DataFrame =
+    intersectDistinct(df1, df2, keyCols, numPartitions, memRows = 1 << 20)
+
+  /** [[intersectDistinct]] whose sorts hold `memRows` rows in memory. */
+  private[spark] def intersectDistinct(df1: DataFrame, df2: DataFrame, keyCols: Seq[String],
+                                       numPartitions: Int, memRows: Int): DataFrame = {
     val spark = df1.sparkSession
     val arity = keyCols.length
     val parts =
@@ -131,7 +136,7 @@ object OvcSpark {
       // completes deletes the run files left unread.
       def distinctSorted(it: Iterator[InternalRow]): Iterator[CodedRow] = {
         val sorted = ExternalSort.sort(it.map(r => ERow(longKey(r, arity))), arity, 0,
-                                       memRows = 1 << 20, stats, spill, dedup = true, tmpDir = tmpDir)
+                                       memRows, stats, spill, dedup = true, tmpDir = tmpDir)
         TaskContext.get().addTaskCompletionListener[Unit](_ => sorted.close())
         sorted
       }

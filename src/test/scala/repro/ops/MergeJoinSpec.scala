@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.Ref
 import repro.core._
+import repro.sort.{ExternalSort, SpillStats}
 
 /** Merge join with OVCs on both inputs (paper §4.7). */
 class MergeJoinSpec extends AnyFunSuite {
@@ -121,6 +122,74 @@ class MergeJoinSpec extends AnyFunSuite {
       }
       assert(emitted == n.toLong * rightRows)
       assert(ahead <= 2, s"$ahead left rows pulled ahead of the output")
+    }
+  }
+
+  // ---- Cursors into sorted outputs ----
+
+  /** `n` rows of arity 2: column 0 in [0, hi), column 1 in [0, 3). */
+  private def rows(n: Int, hi: Int, seed: Long, payloadArity: Int): Array[ERow] = {
+    val rnd = new scala.util.Random(seed)
+    Array.fill(n) {
+      val key = Array(rnd.nextInt(hi).toLong, rnd.nextInt(3).toLong)
+      ERow(key, Array.fill(payloadArity)(rnd.nextInt(1000).toLong))
+    }
+  }
+
+  /** A plain iterator over `in`, pulling a row only when asked. */
+  private def plain(in: Iterator[CodedRow]): Iterator[CodedRow] = new Iterator[CodedRow] {
+    def hasNext: Boolean = in.hasNext
+    def next(): CodedRow = in.next()
+  }
+
+  private def contents(r: CodedRow) = (r.key.toVector, r.code, r.payload.toVector)
+
+  // (shape, memRows, fanIn): sorts of 300 rows in memory, with one merge
+  // level over 3 runs, and with fan-in 2 over 6 runs.
+  private val sortShapes = Seq(("in memory", 1000, 512), ("one merge level", 100, 512), ("fanIn = 2", 50, 2))
+
+  for (jt <- joinTypes; dedup <- Seq(false, true); payloadArity <- Seq(0, 1)) {
+    test(s"$jt over sort outputs read by cursor equals the join over plain iterators " +
+         s"(dedup=$dedup, payload arity $payloadArity)") {
+      for ((shape, memRows, fanIn) <- sortShapes; leftEndsFirst <- Seq(true, false); joinLen <- Seq(1, 2)) {
+        val clue = s"$shape, ${if (leftEndsFirst) "left" else "right"} ends first, joinLen=$joinLen"
+        // Column 0 of the side that ends first stays below 8 and the other
+        // side's goes up to 13, so the join abandons the other side part way.
+        val left = rows(300, if (leftEndsFirst) 8 else 14, seed = memRows + joinLen, payloadArity)
+        val right = rows(300, if (leftEndsFirst) 14 else 8, seed = memRows + joinLen + 1, payloadArity)
+
+        /** The join over two fresh sorts, each read through `wrap`. */
+        def run(wrap: Iterator[CodedRow] => Iterator[CodedRow]) = {
+          val stats = new OvcStats
+          val spill = new SpillStats
+          def sorted(in: Array[ERow]) =
+            ExternalSort.sort(in.iterator, 2, payloadArity, memRows, stats, spill, dedup, fanIn)
+          val l = sorted(left)
+          val r = sorted(right)
+          val joined = MergeJoinOp(wrap(l), 2, wrap(r), 2, joinLen, jt, stats, payloadArity)
+          // Each row's contents as it was handed out, next to the row itself.
+          val out = joined.map(row => (row, contents(row))).toVector
+          l.close(); r.close()
+          (out, stats, spill)
+        }
+        val (viaCursor, cursorStats, cursorSpill) = run(identity)
+        val (viaRows, rowStats, rowSpill) = run(plain)
+        withClue(clue) {
+          assert(viaCursor.map(_._2) == viaRows.map(_._2))
+          // Row contract: every output row still reads as it was handed out
+          // after both sorts were drained and closed.
+          viaCursor.foreach { case (row, was) => assert(contents(row) == was) }
+          OvcInvariants.verifyChain(viaCursor.map(_._1), 2)
+          val counts = (s: OvcStats) => (s.codeComparisons, s.columnComparisons, s.rowComparisons)
+          assert(counts(cursorStats) == counts(rowStats))
+          assert(cursorSpill.toString == rowSpill.toString)
+          if (memRows < 300) assert(cursorSpill.rowsSpilled > 0)
+          // In-sort dedup keeps each key's first row in input order.
+          def input(in: Array[ERow]) = if (dedup) in.toIndexedSeq.distinctBy(_.key.toVector) else in.toIndexedSeq
+          val expected = Ref.joinRef(input(left), input(right), joinLen, jt, 2, payloadArity)
+          assert(viaCursor.map(c => (c._2._1, c._2._3)) == expected)
+        }
+      }
     }
   }
 

@@ -61,6 +61,27 @@ class IntersectPlansSpec extends AnyFunSuite {
     assert(r.sort.outputRows < 10000, s"intersection too large: ${r.sort.outputRows}")
   }
 
+  test("the sort plan allocates under 28 bytes per input row on a spilling input") {
+    // Fig. 3's inputs at half the benchmark's scale: 2 x 500,000 rows, 10 runs
+    // per sort. A row of a run costs a row object and a key array only if
+    // the join emits it; what else the calling thread allocates is each
+    // sort's buffers, about 10 B per input row here.
+    val n = 500000
+    val base = math.ceil(math.pow(3.0 * n / 4, 1.0 / 4)).toLong
+    val t1 = Fig3Harness.makeInput(n, 0, n / 2, 4, base, seed = 42)
+    val t2 = Fig3Harness.makeInput(n, n / 4, 3L * n / 4, 4, base, seed = 43)
+    def run() = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, 4, memRows = n / 10)
+    (0 until 3).foreach(_ => run()) // warm-up
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = mx.getCurrentThreadAllocatedBytes
+    val m = run()
+    val perRow = (mx.getCurrentThreadAllocatedBytes - before).toDouble / (2 * n)
+    info(f"$perRow%.2f B per input row, ${m.outputRows} output rows")
+    assert(m.spilledRows > 0)
+    assert(perRow < 28, f"$perRow%.2f B per input row")
+  }
+
   test("the sort plan deletes its spill directories, even for an input the join leaves unread") {
     def sortDirs(): Set[String] = {
       val s = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))

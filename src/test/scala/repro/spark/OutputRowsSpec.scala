@@ -2,7 +2,9 @@ package repro.spark
 
 import java.nio.file.Files
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, OvcShim}
 import org.apache.spark.sql.types.{LongType, StructField, StructType}
 
 import repro.{Oracle, SparkSpec}
@@ -41,6 +43,24 @@ class OutputRowsSpec extends SparkSpec {
     val got = OvcSpark.intersectDistinct(t1, t2, Seq("k", "j"), numPartitions = 4)
     assert(got.schema == longs("k", "j"))
     assertReads(got, "SELECT k, j FROM t1 INTERSECT SELECT k, j FROM t2", "t1" -> t1, "t2" -> t2)
+  }
+
+  test("intersectDistinct over spilling sorts reads the same and leaves no run file") {
+    // 4 partitions of about 5,000 rows a side, sorted 500 rows at a time:
+    // each sort writes about 10 runs and the join reads them through the
+    // final merge's cursor. t1's keys end first, so the join leaves runs of
+    // t2 unread.
+    val t1 = spark.range(20000).selectExpr("id % 3001 AS k", "id % 7 AS j")
+    val t2 = spark.range(20000).selectExpr("(id * 3) % 4001 AS k", "id % 5 AS j")
+    def sortDirs(): Set[java.nio.file.Path] = {
+      val ls = Files.newDirectoryStream(java.nio.file.Paths.get(OvcShim.localDir()), "ovc-sort*")
+      try ls.asScala.toSet finally ls.close()
+    }
+    val before = sortDirs()
+    val got = OvcSpark.intersectDistinct(t1, t2, Seq("k", "j"), numPartitions = 4, memRows = 500)
+    assert(got.schema == longs("k", "j"))
+    assertReads(got, "SELECT k, j FROM t1 INTERSECT SELECT k, j FROM t2", "t1" -> t1, "t2" -> t2)
+    assert(sortDirs() -- before == Set.empty)
   }
 
   test("groupCount output reads the same collected, cached and deduplicated") {
