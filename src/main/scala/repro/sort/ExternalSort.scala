@@ -12,24 +12,23 @@ import repro.core.{CodedRow, ERow, OvcStats}
   * coding (paper §3, §5): run generation merges single-row runs (so OVCs in
   * each spilled run are a by-product), runs spill to real local files, and a
   * (possibly multi-level) merge with a loser tree produces the sorted, coded
-  * output stream. Every tree whose output is spilled is drained straight into
-  * its run file, with no row object per row. The run files go into one
-  * directory of the sort's own, made at its first run write and deleted by
-  * its output ([[SpillOutput]]). Run generation of a spilling sort splits
-  * each chunk into P slices, P the largest power of two not above
-  * `Runtime.availableProcessors`: pool threads sort slices while the calling
-  * thread merges their rows as they come and writes the run (see
-  * [[RunGen]]). Everything else runs on the calling thread.
+  * output stream. Every tree whose output is spilled is drained through its
+  * cursor straight into its run file, with no row object per row. The run
+  * files go into one directory of the sort's own, made at its first run
+  * write and deleted by its output ([[SpillOutput]]). Run generation of a
+  * spilling sort splits each chunk into P slices, P the largest power of two
+  * not above `Runtime.availableProcessors`: pool threads sort slices while
+  * the calling thread merges their rows as they come and writes the run
+  * (see [[RunGen]]). Everything else runs on the calling thread.
   *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
   * spilling (run generation) and in every merge, so duplicates are never
   * spilled twice and the final stream is distinct. Dropping a duplicate never
   * perturbs the code chain because the duplicate code 0 is the identity of the
-  * max-fold of §4.1. Run generation's writer drops them as it drains its
-  * tree; the merge trees, and the tree of an input that fits in memory,
-  * skip them themselves, so that the final tree builds row objects only for
-  * the rows it emits.
+  * max-fold of §4.1. Each tree whose drain is a run or the output skips
+  * them itself: run generation's tree (the top tree of a split chunk), the
+  * merge trees, and the tree of an input that fits in memory.
   *
   * Merges decode each run's rows straight into their tree's entries
   * ([[LoserTree.ofRuns]]). The output may be read through its final tree's
@@ -89,8 +88,8 @@ object ExternalSort {
       return out.of(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup))
 
     out.of {
-      val gen = new RunGen(arity, stats, slices)
-      val write: LoserTree => Path = RunFile.write(out.dir, arity, payloadArity, _, dedup, spill)
+      val gen = new RunGen(arity, stats, slices, dedup)
+      val write: LoserTree => Path = RunFile.write(out.dir, arity, payloadArity, _, spill)
       var runs = Vector.empty[Path]
       while (n > 0) {
         runs :+= gen.run(chunk, n)(write)
@@ -112,7 +111,8 @@ object ExternalSort {
 }
 
 /** Run generation for one spilling sort: [[run]] turns a chunk into the
-  * loser tree whose drain is the chunk's sorted run, and drains it.
+  * loser tree whose drain is the chunk's sorted run, and drains it. That
+  * tree skips duplicates if `dedup`; the slice trees below it never do.
   *
   * With `slices` = P > 1, the chunk's tree of T entries (T = `n` padded to a
   * power of two) is split below its top log2 P levels. Slice j is the
@@ -151,7 +151,7 @@ object ExternalSort {
   * storage and each slice's tree storage are made once and reused for every
   * chunk, and the sorted slices share one set of arrays for all chunks.
   */
-private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
+private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int, dedup: Boolean = false) {
   import RunGen._
 
   require(slices > 0 && Integer.bitCount(slices) == 1, s"slices $slices is not a power of two")
@@ -184,7 +184,7 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
     val t = LoserTree.padded(n)
     val p = math.min(slices, t)
     val w = t / p
-    if (p == 1) return drain(LoserTree.ofRows(chunk, 0, n, arity, stats, storage(0, w)))
+    if (p == 1) return drain(LoserTree.ofRows(chunk, 0, n, arity, stats, storage(0, w), dedup))
 
     if (codes.length < n) {
       keys = new Array[Long](Math.multiplyExact(n, arity))
@@ -203,7 +203,8 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
       while (started < forked) { tasks(started).fork(); started += 1 }
       j = forked
       while (j < q) { tasks(j).claim(); j += 1 }
-      out = drain(LoserTree.ofSlices(keys, codes, payloads, bounds, p, progress, arity, stats, top))
+      out = drain(LoserTree.ofSlices(keys, codes, payloads, bounds, p, progress, arity, stats, top,
+                                     dedup))
     } catch { case t: Throwable => error = t }
     finally {
       while (started > 0) { started -= 1; tasks(started).quietlyJoin() }
@@ -273,11 +274,10 @@ private[sort] final class RunGen(arity: Int, stats: OvcStats, slices: Int) {
         val ps = payloads
         val a = arity
         var i = lo
-        while (tree.hasNext) {
-          System.arraycopy(tree.headKey, 0, ks, i * a, a)
-          cs(i) = tree.headCode
-          ps(i) = tree.headPayload
-          tree.advance()
+        while (tree.move()) {
+          System.arraycopy(tree.key, 0, ks, i * a, a)
+          cs(i) = tree.code
+          ps(i) = tree.payload
           i += 1
           if ((i & PublishMask) == 0) progress.publish(j, i)
         }

@@ -2,7 +2,7 @@ package repro.sort
 
 import java.util.concurrent.atomic.AtomicIntegerArray
 
-import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
+import repro.core.{CodedCursor, CodedRow, ERow, Ovc, OvcComparator, OvcStats}
 
 /** Tree-of-losers priority queue with offset-value coding (paper §3).
   *
@@ -36,25 +36,23 @@ import repro.core.{CodedRow, ERow, Ovc, OvcComparator, OvcStats}
   * and payload arrays, read as their producers publish them
   * ([[LoserTree.ofSlices]]); or run files ([[LoserTree.ofRuns]]). The last
   * two fill each entry's key slot (and a run's payload slot) in place, so
-  * that a merge reads its current rows from a few hot arrays; the tree gives
-  * an entry fresh slots only after [[next]] has handed its row out, which
-  * keeps the row contract. Besides the iterator, the tree offers its
-  * current winner in place ([[headKey]], [[headCode]], [[headPayload]]) and
-  * [[advance]], so that [[RunFile]] can write a run, or [[RunGen]] a sorted
-  * slice, from it without building a row object per row; and a cursor
-  * ([[move]], [[row]]), through which a consumer such as a merge join reads
-  * the rows it drops without a row object or an array per row. A row of a
-  * run thus costs a key array and a row object only if its consumer keeps
-  * it.
+  * that a merge reads its current rows from a few hot arrays.
   *
-  * With `dedup`, [[hasNext]] and [[next]] skip winners with the duplicate
-  * code 0 (in-sort duplicate removal, §4.4): the tree plays the matches a
-  * filter over its output would make it play, when that filter would, and
-  * never hands the skipped rows out.
+  * The tree is read through its cursor ([[move]], then [[key]], [[code]]
+  * and [[payload]] in place): a run writer, a slice of run generation or a
+  * merge join drains it without a row object or an array per row, and a
+  * row of a run costs a key array and a row object only if its consumer
+  * keeps it ([[row]]). The iterator is the cursor too: [[next]] is [[move]]
+  * then [[row]].
+  *
+  * With `dedup`, the tree skips winners with the duplicate code 0 (in-sort
+  * duplicate removal, §4.4), lazily, as [[hasNext]] or [[move]] looks for
+  * the next row: it plays the matches a filter over its output would make
+  * it play, when that filter would, and never hands the skipped rows out.
   */
 final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcStats,
                                storage: LoserTree.Storage, dedup: Boolean)
-    extends Iterator[CodedRow] {
+    extends Iterator[CodedRow] with CodedCursor {
 
   def this(inputs: IndexedSeq[Iterator[CodedRow]], arity: Int, stats: OvcStats) =
     this(new LoserTree.Streams(inputs.toArray), arity, stats, null, false)
@@ -135,14 +133,8 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
     winnerCode != Ovc.LateFence
   }
 
-  override def next(): CodedRow = {
-    skipDuplicates()
-    val w = winner
-    val out = CodedRow(keys(w), winnerCode, payloads(w))
-    leaves.handedOut(w, keys, payloads)
-    advance()
-    out
-  }
+  override def next(): CodedRow =
+    if (move()) row() else throw new NoSuchElementException("loser tree exhausted")
 
   // The cursor's row (see [[move]]): the key and payload arrays it took
   // from the winner's entry, and its code. `kept` is true while the cursor
@@ -153,16 +145,14 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
   private[this] var rowCode = 0L
   private[this] var kept = true
 
-  /** The tree as a cursor ([[SpillOutput.cursor]]): moves to the next
-    * winner, playing exactly the matches [[hasNext]] and [[next]] play. It
-    * skips duplicates lazily, takes the winner's key and payload arrays as
-    * its row, and advances eagerly. Into the winner's slots it puts the pair
-    * its last row used, so that a source that fills slots in place decodes
-    * the successor into arrays no one holds; it allocates nothing unless
-    * [[row]] handed that pair out, when the source makes fresh slots. A tree
-    * is read either as an iterator or as a cursor.
+  /** Moves to the next winner: skips duplicates lazily, takes the winner's
+    * key and payload arrays as the cursor's row, and advances eagerly. Into
+    * the winner's slots it puts the pair its last row used, so that a source
+    * that fills slots in place decodes the successor into arrays no one
+    * holds; it allocates nothing unless [[row]] handed that pair out, when
+    * the source makes fresh slots.
     */
-  private[sort] def move(): Boolean = {
+  def move(): Boolean = {
     skipDuplicates()
     winnerCode != Ovc.LateFence && {
       val w = winner
@@ -176,22 +166,11 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
     }
   }
 
-  /** The cursor's row, valid until the next [[move]]. */
-  private[sort] def cursorKey: Array[Long] = rowKey
-  private[sort] def cursorCode: Long = rowCode
-  private[sort] def cursorPayload: Array[Long] = rowPayload
+  def key: Array[Long] = rowKey
+  def code: Long = rowCode
+  def payload: Array[Long] = rowPayload
 
-  /** The cursor's row as a lasting row with code `code`, which keeps its
-    * arrays.
-    */
-  private[sort] def row(code: Long): CodedRow = { kept = true; CodedRow(rowKey, code, rowPayload) }
-
-  /** The current winner's key, code and payload; valid once [[hasNext]]
-    * returned true, until the next [[advance]].
-    */
-  private[sort] def headKey: Array[Long] = keys(winner)
-  private[sort] def headCode: Long = winnerCode
-  private[sort] def headPayload: Array[Long] = payloads(winner)
+  def row(code: Long): CodedRow = { kept = true; CodedRow(rowKey, code, rowPayload) }
 
   private def skipDuplicates(): Unit =
     if (dedup) while (Ovc.isDup(winnerCode)) advance()
@@ -199,7 +178,7 @@ final class LoserTree private (leaves: LoserTree.Leaves, arity: Int, stats: OvcS
   /** Drops the current winner: replaces it with its successor and replays
     * its leaf-to-root path.
     */
-  private[sort] def advance(): Unit = {
+  private def advance(): Unit = {
     var cur = winner
     var curCode = if (cur < m) leaves.next(cur, keys, payloads) else Ovc.LateFence
     var n = 0L
@@ -244,14 +223,14 @@ object LoserTree {
     * published, so the slices may still be being written while the tree is
     * built and drained. It plays a match only once both its rows are
     * present, so it plays the same matches in the same order however far
-    * the producers have got.
+    * the producers have got. It skips duplicates if `dedup`.
     */
   private[sort] def ofSlices(keys: Array[Long], codes: Array[Long],
                              payloads: Array[Array[Long]], bounds: Array[Int], count: Int,
                              progress: Progress, arity: Int, stats: OvcStats,
-                             storage: Storage): LoserTree =
+                             storage: Storage, dedup: Boolean = false): LoserTree =
     new LoserTree(new Slices(keys, codes, payloads, bounds, count, progress, arity), arity, stats,
-                  storage, false)
+                  storage, dedup)
 
   /** A tree over sorted run files, each decoded straight into its entry's
     * slots, skipping duplicates if `dedup`. A reader is drained through
@@ -281,10 +260,11 @@ object LoserTree {
     * `keys` and `payloads` and returns its code, or returns the late fence
     * once the entry has no row left. A load either stores the row's own
     * arrays in the slots, or copies the row into arrays the source put
-    * there; a source of the second kind puts fresh arrays in an entry's
-    * slots when the tree hands the entry's row out ([[handedOut]]). A tree
-    * read as a cursor may instead put arrays of its own in the slots, of
-    * the shape the source put there, which a load of either kind accepts.
+    * there. When the tree's cursor moves on from an entry's row, it puts
+    * the arrays of its previous row in the entry's slots, of the shape the
+    * source put there, which a load of either kind accepts; if that row was
+    * handed out as a row object, it lets a source of the second kind put
+    * fresh arrays there instead ([[handedOut]]).
     */
   private[sort] abstract class Leaves(val count: Int) {
     /** Loads entry `e`'s first row. */
@@ -314,7 +294,7 @@ object LoserTree {
   }
 
   /** One row per entry, coded relative to "-inf"; an emitted entry is a
-    * fence at once, and its slots keep the row.
+    * fence at once.
     */
   private final class Singles(rows: Array[ERow], from: Int, n: Int, arity: Int) extends Leaves(n) {
     override def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {

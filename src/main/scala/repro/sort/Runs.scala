@@ -84,27 +84,15 @@ object RunFile {
     delete(dir)
   }
 
-  /** Write `rows` as one run; returns the file path. Updates `spill`. */
+  /** Write `rows` as one run; returns the file path. Updates `spill`. The
+    * rows are read through [[SpillOutput.cursor]], so a sort's tree is
+    * drained with no row object per row.
+    */
   def write(dir: Path, arity: Int, payloadArity: Int,
             rows: Iterator[CodedRow], spill: SpillStats): Path =
     writeRun(dir, arity, payloadArity, spill) { out =>
-      while (rows.hasNext) {
-        val r = rows.next()
-        out.put(r.key, r.code, r.payload)
-      }
-    }
-
-  /** Drain `tree` into one run, leaving out duplicates (code 0) if `dedup`;
-    * returns the file path. Updates `spill`. No row object is built.
-    */
-  private[sort] def write(dir: Path, arity: Int, payloadArity: Int, tree: LoserTree,
-                          dedup: Boolean, spill: SpillStats): Path =
-    writeRun(dir, arity, payloadArity, spill) { out =>
-      while (tree.hasNext) {
-        val code = tree.headCode
-        if (!dedup || !Ovc.isDup(code)) out.put(tree.headKey, code, tree.headPayload)
-        tree.advance()
-      }
+      val c = SpillOutput.cursor(rows)
+      while (c.move()) out.put(c.key, c.code, c.payload)
     }
 
   /** Creates a run file, lets `fill` put its rows, and ends the run;
@@ -273,7 +261,8 @@ final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
     try { this.rows = rows; this } catch { case t: Throwable => close(); throw t }
 
   override def hasNext: Boolean = !closed && (rows.hasNext || { close(); false })
-  override def next(): A = rows.next()
+  override def next(): A =
+    if (closed) throw new NoSuchElementException("spill output closed") else rows.next()
 
   override def close(): Unit =
     if (!closed) {
@@ -281,31 +270,32 @@ final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
       if (made != null) RunFile.deleteDir(made)
     }
 
-  /** This output read through the cursor of `tree`, the tree that computes
-    * it; like [[hasNext]], a move that finds the end closes the output.
+  /** This output read through `rows`, the cursor of the stream that
+    * computes it; like [[hasNext]], a move that finds the end closes the
+    * output.
     */
-  private final class TreeCursor(tree: LoserTree) extends CodedCursor {
-    def move(): Boolean = !closed && (tree.move() || { close(); false })
-    def key: Array[Long] = tree.cursorKey
-    def code: Long = tree.cursorCode
-    def payload: Array[Long] = tree.cursorPayload
-    def row(code: Long): CodedRow = tree.row(code)
+  private final class OutputCursor(rows: CodedCursor) extends CodedCursor {
+    def move(): Boolean = !closed && (rows.move() || { close(); false })
+    def key: Array[Long] = rows.key
+    def code: Long = rows.code
+    def payload: Array[Long] = rows.payload
+    def row(code: Long): CodedRow = rows.row(code)
   }
 }
 
 object SpillOutput {
 
-  /** `rows` read through a cursor: a sort's output through its tree's
-    * cursor ([[LoserTree.move]]), which builds a row object, and for a run's
-    * rows key and payload arrays, only for a row the consumer takes with
-    * [[CodedCursor.row]]; any other stream through the pass-through
-    * adapter. An output is read either as an iterator or through one cursor.
+  /** `rows` read through a cursor: a stream that is its own cursor, a loser
+    * tree ([[LoserTree.move]]), as itself, which builds a row object, and for
+    * a run's rows key and payload arrays, only for a row the consumer takes
+    * with [[CodedCursor.row]]; a spilling operator's output through the
+    * cursor of the stream that computes it; any other stream through the
+    * pass-through adapter. A stream is read either as an iterator or through
+    * one cursor.
     */
   private[repro] def cursor(rows: Iterator[CodedRow]): CodedCursor = rows match {
-    case out: SpillOutput[_] => out.rows match {
-      case tree: LoserTree => new out.TreeCursor(tree)
-      case _ => new CodedCursor.Rows(rows)
-    }
+    case own: CodedCursor => own
+    case out: SpillOutput[CodedRow @unchecked] => new out.OutputCursor(cursor(out.rows))
     case _ => new CodedCursor.Rows(rows)
   }
 }

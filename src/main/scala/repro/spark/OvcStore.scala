@@ -30,14 +30,24 @@ object OvcStore {
 
   val Magic: Int = 0x4f564331 // "OVC1"
 
+  /** The most key columns a store holds: a duplicate's offset, the arity,
+    * must fit in the row's one offset byte.
+    */
+  val MaxKeyColumns: Int = 255
+
   /** Write `df` (projected to `keyCols`, checked as in
     * [[OvcSpark.orderedScan]]) as a sorted, prefix-truncated store under
     * `dir`, one file per range partition of the ordered scan. Returns the
     * per-partition row counts. A partition whose write fails deletes its
-    * file, so a scan never lists a file without its end marker.
+    * file, so a scan never lists a file without its end marker. Each row
+    * stores its offset in one unsigned byte, so a store has at most
+    * [[MaxKeyColumns]] key columns; more throw `IllegalArgumentException`
+    * before any job runs.
     */
   def write(df: DataFrame, keyCols: Seq[String], dir: String): Array[Long] = {
     val arity = keyCols.length
+    require(arity <= MaxKeyColumns,
+            s"$arity key columns: an OvcStore holds at most $MaxKeyColumns")
     val d = new File(dir)
     require(d.isDirectory || d.mkdirs(), s"cannot create $dir")
     val names = keyCols.toArray
@@ -150,7 +160,7 @@ final class OvcFileReader(file: String) extends PartitionReader[InternalRow] {
 
   override def next(): Boolean =
     in.readByte() != 0 && {
-      val off = in.readByte().toInt
+      val off = in.readUnsignedByte()
       var j = off
       while (j < arity) { key(j) = in.readLong(); j += 1 }
       row.reset()

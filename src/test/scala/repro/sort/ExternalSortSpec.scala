@@ -162,6 +162,20 @@ class ExternalSortSpec extends AnyFunSuite with TimeLimits {
     Files.delete(dir)
   }
 
+  for ((name, memRows) <- Seq(("spilling", 500), ("in memory", 10000))) {
+    test(s"next() on a closed sorted stream throws NoSuchElementException: $name") {
+      val dir = Files.createTempDirectory("sort-spec")
+      val rows = DataGen.randomRows(5000, 2, 30, seed = 8)
+      val sorted = ExternalSort.sort(rows.iterator, 2, 0, memRows, new OvcStats, new SpillStats,
+                                     tmpDir = dir)
+      (1 to 3).foreach(_ => sorted.next())
+      sorted.close()
+      intercept[NoSuchElementException](sorted.next())
+      assert(runFiles(dir).isEmpty)
+      Files.delete(dir)
+    }
+  }
+
   test("a drained sorted stream leaves no run files behind") {
     val dir = Files.createTempDirectory("sort-spec")
     val rows = DataGen.randomRows(2000, 2, 40, seed = 3)

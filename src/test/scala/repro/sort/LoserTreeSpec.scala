@@ -61,6 +61,28 @@ class LoserTreeSpec extends AnyFunSuite with TimeLimits {
     assert(out.isEmpty)
   }
 
+  test("next() past the end of a stream tree throws NoSuchElementException") {
+    intercept[NoSuchElementException](new LoserTree(IndexedSeq(Iterator.empty), 2, new OvcStats).next())
+    val rows = DataGen.refSortCoded(DataGen.randomRows(10, 2, 4, seed = 9))
+    val tree = new LoserTree(IndexedSeq(rows.iterator, Iterator.empty), 2, new OvcStats)
+    assert(tree.toVector == rows)
+    intercept[NoSuchElementException](tree.next())
+  }
+
+  test("next() past the end of a drained run tree throws NoSuchElementException") {
+    val dir = java.nio.file.Files.createTempDirectory("losertree-spec")
+    val runs = (0 until 3).map { seed =>
+      val run = DataGen.refSortCoded(DataGen.randomRows(30, 2, 4, seed, payloadArity = 1))
+      RunFile.write(dir, 2, 1, run.iterator, new SpillStats)
+    }
+    val tree = LoserTree.ofRuns(runs.map(RunFile.reader(_, 2, 1)), 2, 1, new OvcStats, dedup = false)
+    val merged = tree.toVector
+    assert(merged.size == 90)
+    OvcInvariants.verifyChain(merged, 2)
+    intercept[NoSuchElementException](tree.next())
+    java.nio.file.Files.delete(dir)
+  }
+
   test("merge of empty and non-empty inputs") {
     val rows = DataGen.refSortCoded(DataGen.randomRows(50, 2, 3, seed = 5))
     val stats = new OvcStats

@@ -77,11 +77,14 @@ class RunFileSpec extends AnyFunSuite {
       val dir = Files.createTempDirectory("runfile-spec")
       // Few distinct keys, so that dedup drops rows; 4000 rows cross buffer edges.
       val in = DataGen.randomRows(4000, 3, 8, seed = 5, payloadArity)
-      def tree() = LoserTree.ofRows(in, in.length, 3, new OvcStats)
+      def tree(dedup: Boolean) = LoserTree.ofRows(in, 0, in.length, 3, new OvcStats, null, dedup)
+      // The rows as a plain stream, which the writer reads through the
+      // pass-through adapter, not the tree's cursor.
+      val rows = (if (dedup) DedupOp(tree(false)) else tree(false)).toVector
       val viaRows = new SpillStats
-      val rowsPath = RunFile.write(dir, 3, payloadArity, if (dedup) DedupOp(tree()) else tree(), viaRows)
+      val rowsPath = RunFile.write(dir, 3, payloadArity, rows.iterator, viaRows)
       val viaTree = new SpillStats
-      val treePath = RunFile.write(dir, 3, payloadArity, tree(), dedup, viaTree)
+      val treePath = RunFile.write(dir, 3, payloadArity, tree(dedup), viaTree)
       assert(Files.readAllBytes(treePath).sameElements(Files.readAllBytes(rowsPath)))
       assert(viaTree.toString == viaRows.toString)
       assert(viaTree.rowsSpilled < in.length == dedup)
@@ -115,12 +118,12 @@ class RunFileSpec extends AnyFunSuite {
         val in = DataGen.randomRows(n, 3, 8, seed = n, payloadArity)
         val serialStats = new OvcStats
         val serialSpill = new SpillStats
-        val serial = RunFile.write(dir, 3, payloadArity, LoserTree.ofRows(in, n, 3, serialStats),
-                                   dedup, serialSpill)
+        val serial = RunFile.write(dir, 3, payloadArity,
+                                   LoserTree.ofRows(in, 0, n, 3, serialStats, null, dedup), serialSpill)
         val splitStats = new OvcStats
         val splitSpill = new SpillStats
-        val split = new RunGen(3, splitStats, p).run(in, n)(
-                      RunFile.write(dir, 3, payloadArity, _, dedup, splitSpill))
+        val split = new RunGen(3, splitStats, p, dedup).run(in, n)(
+                      RunFile.write(dir, 3, payloadArity, _, splitSpill))
         assert(Files.readAllBytes(split).sameElements(Files.readAllBytes(serial)),
                s"dedup=$dedup, payload $payloadArity")
         assert(splitSpill.toString == serialSpill.toString)

@@ -110,6 +110,30 @@ class OvcStoreSpec extends SparkSpec {
     assert(new java.io.File(dir).list().toSeq == Nil)
   }
 
+  // A duplicate row's offset is the arity: 128 and more do not fit a signed byte.
+  for (arity <- Seq(128, 255)) {
+    test(s"a store of $arity key columns round-trips a duplicate row") {
+      // Rows 0...0, 1...1 and 1...1 again, the last a duplicate of the one before.
+      val cols = (0 until arity).map(i => s"c$i")
+      val df = spark.range(3).selectExpr(cols.map(c => s"least(id, 1) as $c"): _*)
+      val dir = tmp()
+      assert(OvcStore.write(df, cols, dir).sum == 3)
+      val back = readStore(dir).collect()
+        .map(r => ((0 until arity).map(r.getLong).toVector, r.getLong(arity))).toVector.sortBy(_._1.head)
+      assert(back.map(_._1) == Vector(0L, 1L, 1L).map(Vector.fill(arity)(_)))
+      assert(back.count(_._2 == 0L) == 1, "one duplicate code")
+    }
+  }
+
+  test("a write of 256 key columns is rejected before any job runs") {
+    val cols = (0 until 256).map(i => s"c$i")
+    val df = spark.range(3).selectExpr(cols.map(c => s"id as $c"): _*)
+    val dir = tmp()
+    val e = intercept[IllegalArgumentException](OvcStore.write(df, cols, dir))
+    assert(e.getMessage.contains("at most 255"))
+    assert(new java.io.File(dir).list().toSeq == Nil)
+  }
+
   test("store scan of lineitem keys feeds OVC grouping with oracle-checked results") {
     val li = SynthData.lineitem(spark, sf = 0.01).select("l_orderkey", "l_linenumber")
     val dir = tmp()
