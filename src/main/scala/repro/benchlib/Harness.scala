@@ -4,6 +4,7 @@ import repro.core.{CodedRow, DataGen, ERow, Ovc, OvcStats}
 import repro.ops.GroupAggOp
 import repro.plans.IntersectPlans
 import repro.plans.IntersectPlans.PlanMetrics
+import repro.sort.ExternalSort
 
 /** Minimal single-threaded micro-benchmark support (the paper uses Google's
   * benchmark library, single thread, warm cache — we mirror that: warm-up
@@ -213,13 +214,17 @@ object Fig3Harness {
     Result(n, memRows, median(pairs.map(_._1)), median(pairs.map(_._2)))
   }
 
+  /** The plans' reports; the sort plan generates runs on P threads (as
+    * [[ExternalSort]] splits its chunks), the hash plan runs on one.
+    */
   def render(r: Result): String = {
-    def line(name: String, m: PlanMetrics): String =
-      f"$name%-12s ${m.millis}%10.1f ms  ${m.spilledRows}%12d spilled rows  " +
+    val sortThreads = ExternalSort.slicesFor(Runtime.getRuntime.availableProcessors())
+    def line(name: String, threads: Int, m: PlanMetrics): String =
+      f"$name%-12s $threads%2d thr ${m.millis}%10.1f ms  ${m.spilledRows}%12d spilled rows  " +
       f"${m.stats.columnComparisons}%14d col-cmps  ${m.stats.hashColumnAccesses}%14d hash-col-accesses"
     f"""Figure 3 -- intersect distinct: ${r.nPerInput}%,d rows/input, ${r.memRows}%,d rows memory/operator
-       |${line("sort-based", r.sort)}%s
-       |${line("hash-based", r.hash)}%s
+       |${line("sort-based", sortThreads, r.sort)}%s
+       |${line("hash-based", 1, r.hash)}%s
        |output rows: ${r.sort.outputRows}%d; time ratio hash/sort: ${r.hash.millis / r.sort.millis}%.2f; spill ratio hash/sort: ${r.hash.spilledRows.toDouble / math.max(1, r.sort.spilledRows)}%.2f""".stripMargin
   }
 }

@@ -1,27 +1,125 @@
 package repro.hash
 
 import java.nio.file.Path
-
-import scala.collection.mutable
+import java.util.Arrays
 
 import repro.core.{ERow, Ovc, OvcStats}
 import repro.sort.{RunFile, SpillOutput, SpillStats}
 
-/** Hashable wrapper for a key array; computing the hash touches every column
-  * (charged to `OvcStats.hashColumnAccesses` by callers), mirroring the
-  * paper's point that hash-based execution needs N*K column accesses for the
-  * hash function alone.
+/** A flat open-addressing hash table of fixed-arity long keys, with a count
+  * per entry if `counted`. Entry `e` (0 until [[size]], in insertion order)
+  * keeps its key in `keys(e * arity until (e + 1) * arity)` and its hash in
+  * `hashes(e)`; `slots` maps a slot to its entry plus 1 (0 is empty) and is
+  * probed linearly from the slot the hash picks. The table grows by
+  * doubling and is at most half full, and [[clear]] keeps its arrays, so an
+  * operator reuses one table for all its recursion levels.
   */
-final class LongsKey(val xs: Array[Long]) {
-  override val hashCode: Int = {
+private[hash] final class KeyTable(arity: Int, counted: Boolean) {
+  private[this] var keys = new Array[Long](arity * KeyTable.InitialEntries)
+  private[this] var hashes = new Array[Int](KeyTable.InitialEntries)
+  private[this] var counts = if (counted) new Array[Long](KeyTable.InitialEntries) else null
+  private[this] var slots = new Array[Int](2 * KeyTable.InitialEntries)
+  private[this] var n = 0
+
+  def size: Int = n
+
+  /** The slot of `key`, whose hash is `h`: the slot of its entry, or the
+    * empty slot where [[add]] puts it.
+    */
+  def slotOf(key: Array[Long], h: Int): Int = {
+    val s = slots
+    val mask = s.length - 1
+    var i = KeyTable.spread(h) & mask
+    var e = s(i) - 1
+    while (e >= 0 && !(hashes(e) == h && sameKey(e, key))) {
+      i = (i + 1) & mask
+      e = s(i) - 1
+    }
+    i
+  }
+
+  /** The entry in `slot`, or -1 if the slot is empty. */
+  def entryAt(slot: Int): Int = slots(slot) - 1
+
+  def contains(key: Array[Long], h: Int): Boolean = entryAt(slotOf(key, h)) >= 0
+
+  /** Copies `key`, whose hash is `h`, into a new entry with count 0 in the
+    * empty `slot` that [[slotOf]] gave; returns the entry.
+    */
+  def add(slot: Int, key: Array[Long], h: Int): Int = {
+    val e = n
+    System.arraycopy(key, 0, keys, e * arity, arity)
+    hashes(e) = h
+    if (counted) counts(e) = 0L
+    slots(slot) = e + 1
+    n += 1
+    if (n == hashes.length) grow()
+    e
+  }
+
+  def bump(e: Int, w: Long): Unit = counts(e) += w
+  def count(e: Int): Long = counts(e)
+  def hash(e: Int): Int = hashes(e)
+
+  /** A copy of entry `e`'s key. */
+  def key(e: Int): Array[Long] = Arrays.copyOfRange(keys, e * arity, (e + 1) * arity)
+
+  /** Copies entry `e`'s key into `dst`. */
+  def keyInto(e: Int, dst: Array[Long]): Unit = System.arraycopy(keys, e * arity, dst, 0, arity)
+
+  /** Empties the table and keeps its arrays. */
+  def clear(): Unit = { Arrays.fill(slots, 0); n = 0 }
+
+  private def sameKey(e: Int, key: Array[Long]): Boolean = {
+    val ks = keys
+    val base = e * arity
+    var j = 0
+    while (j < arity && ks(base + j) == key(j)) j += 1
+    j == arity
+  }
+
+  /** Doubles the entry arrays and rebuilds the slots from the stored hashes. */
+  private def grow(): Unit = {
+    val cap = 2 * hashes.length
+    keys = Arrays.copyOf(keys, cap * arity)
+    hashes = Arrays.copyOf(hashes, cap)
+    if (counted) counts = Arrays.copyOf(counts, cap)
+    val s = new Array[Int](2 * cap)
+    val mask = s.length - 1
+    var e = 0
+    while (e < n) {
+      var i = KeyTable.spread(hashes(e)) & mask
+      while (s(i) != 0) i = (i + 1) & mask
+      s(i) = e + 1
+      e += 1
+    }
+    slots = s
+  }
+}
+
+private[hash] object KeyTable {
+  val InitialEntries: Int = 64
+
+  /** The hash of `key`'s `arity` columns; computing it touches every column
+    * (charged to `OvcStats.hashColumnAccesses` by callers), mirroring the
+    * paper's point that hash-based execution needs N*K column accesses for
+    * the hash function alone.
+    */
+  def hash(key: Array[Long], arity: Int): Int = {
     var h = 1
     var i = 0
-    while (i < xs.length) { h = 31 * h + java.lang.Long.hashCode(xs(i) * 0x9e3779b97f4a7c15L); i += 1 }
+    while (i < arity) { h = 31 * h + java.lang.Long.hashCode(key(i) * 0x9e3779b97f4a7c15L); i += 1 }
     h
   }
-  override def equals(o: Any): Boolean = o match {
-    case k: LongsKey => java.util.Arrays.equals(xs, k.xs)
-    case _ => false
+
+  /** Mixes `h` before it picks a slot: the keys of one spill partition
+    * share the bits their partition was chosen by.
+    */
+  def spread(h: Int): Int = {
+    var x = h
+    x ^= x >>> 16; x *= 0x85ebca6b
+    x ^= x >>> 13; x *= 0xc2b2ae35
+    x ^ (x >>> 16)
   }
 }
 
@@ -29,43 +127,45 @@ final class LongsKey(val xs: Array[Long]) {
   * [[SpillWriter.Partitions]] partitions by a level-salted hash of their key:
   * recursion levels must not reuse the parent's partitioning function, or an
   * oversized partition would map back into a single bucket and never shrink.
-  * Each partition buffers rows in batches and writes them through
-  * [[RunFile]]'s row writer into `out`'s directory as code-0 rows with a
-  * one-column payload (the row's first payload column, or `emptyPayload`),
-  * so spill accounting and file I/O are real.
+  * Each partition streams its rows into an open run file in `out`'s
+  * directory, through [[RunFile]]'s one run writer, as code-0 rows with a
+  * one-column payload, and ends the run every [[SpillWriter.BatchRows]]
+  * rows, so spill accounting and file I/O are real.
   */
 private[hash] final class SpillWriter(out: SpillOutput[ERow], arity: Int, level: Int,
-                                      spill: SpillStats, emptyPayload: Long) {
+                                      spill: SpillStats) {
   import SpillWriter._
 
-  private[this] val batches = Array.fill(Partitions)(new mutable.ArrayBuffer[ERow]())
-  private[this] val files = Array.fill(Partitions)(mutable.ArrayBuffer.empty[Path])
+  // Each partition's open run, or null, and its ended runs.
+  private[this] val open = new Array[RunFile.RowWriter](Partitions)
+  private[this] val files = Array.fill(Partitions)(Vector.empty[Path])
   // The payload column of the row being written.
   private[this] val pay = new Array[Long](1)
 
-  /** Buffers `r`, whose key hashes to `h`, in its partition. */
-  def add(r: ERow, h: Int): Unit = {
+  /** Writes `key`, whose hash is `h`, with payload `payload` into its partition. */
+  def add(key: Array[Long], payload: Long, h: Int): Unit = {
     val mixed = Integer.rotateRight(h * 0x9e3779b9 + level * 0x85ebca77, level * 5 + 1)
     val p = (mixed >>> 1) % Partitions
-    batches(p) += r
-    if (batches(p).size >= BatchRows) flush(p)
+    var w = open(p)
+    if (w == null) { w = RunFile.open(out.dir, arity, 1, spill); open(p) = w }
+    pay(0) = payload
+    w.put(key, 0L, pay)
+    if (w.rows == BatchRows) { files(p) :+= w.finish(); open(p) = null }
   }
 
-  private def flush(p: Int): Unit =
-    if (batches(p).nonEmpty) {
-      files(p) += RunFile.writeRun(out.dir, arity, 1, spill) { w =>
-        batches(p).foreach { r =>
-          pay(0) = if (r.payload.isEmpty) emptyPayload else r.payload(0)
-          w.put(r.key, 0L, pay)
-        }
-      }
-      batches(p).clear()
+  /** Runs `body`, which adds rows, then ends every open run; returns each
+    * partition's runs, in partition order. If `body` throws, every open run
+    * is closed and its partial file deleted.
+    */
+  def fill(body: => Unit): Array[Vector[Path]] = {
+    try body
+    catch { case t: Throwable => open.foreach(w => if (w != null) w.close()); throw t }
+    var p = 0
+    while (p < Partitions) {
+      if (open(p) != null) { files(p) :+= open(p).finish(); open(p) = null }
+      p += 1
     }
-
-  /** Flushes every partition and returns each one's files, in partition order. */
-  def finish(): Array[Vector[Path]] = {
-    (0 until Partitions).foreach(flush)
-    files.map(_.toVector)
+    files
   }
 }
 
@@ -73,16 +173,31 @@ private[hash] object SpillWriter {
   val Partitions: Int = 16
   val BatchRows: Int = 65536
 
-  /** Reads one partition's files back as rows with their one-column payload:
-    * the `takeWhile` test decodes each row straight into a fresh row's
-    * arrays, and ends at the end of the run.
+  /** Reads one partition's runs back into one reused row: every `next()`
+    * returns the same row, which holds the row read last, with its
+    * one-column payload, until the next `hasNext`. A consumer copies what it
+    * keeps.
     */
-  def read(files: Vector[Path], arity: Int): Iterator[ERow] =
-    files.iterator.flatMap { f =>
-      val in = RunFile.reader(f, arity, 1)
-      Iterator.continually(ERow(new Array[Long](arity), new Array[Long](1)))
-        .takeWhile(r => in.read(r.key, r.payload) != Ovc.LateFence)
+  def read(files: Vector[Path], arity: Int): Iterator[ERow] = new Iterator[ERow] {
+    private[this] val row = ERow(new Array[Long](arity), new Array[Long](1))
+    private[this] val runs = files.iterator
+    private[this] var in: RunFile.Reader = null
+    private[this] var ready = false
+
+    def hasNext: Boolean = {
+      while (!ready && (in != null || runs.hasNext)) {
+        if (in == null) in = RunFile.reader(runs.next(), arity, 1)
+        if (in.read(row.key, row.payload) != Ovc.LateFence) ready = true else in = null
+      }
+      ready
     }
+
+    def next(): ERow = {
+      if (!hasNext) throw new NoSuchElementException("partition exhausted")
+      ready = false
+      row
+    }
+  }
 }
 
 /** Grace hash aggregation (group-count) with a bounded in-memory hash table
@@ -94,92 +209,117 @@ object HashAgg {
   /** Count rows per distinct key. Absorbs rows whose group is already (or
     * still fits) in memory; once the table holds `memGroups` groups, rows of
     * unseen groups spill to one of the [[SpillWriter]] partitions, processed
-    * recursively after the input drains.
+    * recursively after the input drains. One [[KeyTable]] serves every level.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats): SpillOutput[ERow] = {
     require(memGroups > 0)
     val out = new SpillOutput[ERow](null, "hash-agg")
-    out.of(aggregate(input, arity, memGroups, spill, stats, out, level = 0))
+    val table = new KeyTable(arity, counted = true)
+    out.of(aggregate(input, arity, memGroups, spill, stats, out, table, level = 0))
   }
 
+  /** One level: counts `input` into `table` and spills the rest. The next
+    * level starts, and clears the table, once this level's groups are read.
+    */
   private def aggregate(input: Iterator[ERow], arity: Int, memGroups: Int, spill: SpillStats,
-                        stats: OvcStats, out: SpillOutput[ERow], level: Int): Iterator[ERow] = {
-    val map = new mutable.HashMap[LongsKey, Array[Long]]()
-    val spilled = new SpillWriter(out, arity, level, spill, emptyPayload = 1L)
-
-    def weight(r: ERow): Long = if (r.payload.nonEmpty) r.payload(0) else 1L
-
-    input.foreach { r =>
-      stats.hashColumnAccesses += arity // hash function touches every column
-      val k = new LongsKey(r.key)
-      map.get(k) match {
-        case Some(cell) => cell(0) += weight(r)
-        case None =>
-          if (map.size < memGroups) map.put(k, Array(weight(r)))
-          else spilled.add(r, k.hashCode)
+                        stats: OvcStats, out: SpillOutput[ERow], table: KeyTable,
+                        level: Int): Iterator[ERow] = {
+    table.clear()
+    val spilled = new SpillWriter(out, arity, level, spill)
+    val parts = spilled.fill {
+      while (input.hasNext) {
+        val r = input.next()
+        stats.hashColumnAccesses += arity // hash function touches every column
+        val key = r.key
+        val w = if (r.payload.nonEmpty) r.payload(0) else 1L
+        val h = KeyTable.hash(key, arity)
+        val slot = table.slotOf(key, h)
+        var e = table.entryAt(slot)
+        if (e < 0 && table.size < memGroups) e = table.add(slot, key, h)
+        if (e >= 0) table.bump(e, w) else spilled.add(key, w, h)
       }
     }
 
     // Each spilled partition is read back, and recursed into, once reached.
-    spilled.finish().filter(_.nonEmpty).foldLeft(
-      map.iterator.map { case (k, cell) => ERow(k.xs, Array(cell(0))) }) { (result, files) =>
-      result ++ aggregate(SpillWriter.read(files, arity), arity, memGroups, spill, stats, out, level + 1)
+    val groups = Iterator.tabulate(table.size)(e => ERow(table.key(e), Array(table.count(e))))
+    parts.filter(_.nonEmpty).foldLeft(groups) { (result, files) =>
+      result ++ aggregate(SpillWriter.read(files, arity), arity, memGroups, spill, stats, out,
+                          table, level + 1)
     }
   }
 }
 
 /** Grace hash (semi) join with a bounded build table — the "hash join"
-  * blocking operator of the paper's Figure 2 hash plan. If the build side
-  * exceeds memory, both sides are partitioned to local files (each row spilled
-  * once) and the partitions are joined recursively.
+  * blocking operator of the paper's Figure 2 hash plan. The table holds the
+  * build input's distinct keys; once it holds more than `memRows`, both
+  * sides are partitioned to local files (each row spilled once) and the
+  * partitions are joined recursively.
   */
 object HashJoin {
 
-  /** Emit each probe row whose key occurs in the build input (both sides are
-    * assumed distinct on the full key, as after duplicate removal).
+  /** Emit each probe row whose key occurs in the build input (the probe side
+    * is assumed distinct on the full key, as after duplicate removal).
     */
   def semiJoin(build: Iterator[ERow], probe: Iterator[ERow], arity: Int,
                memRows: Int, spill: SpillStats, stats: OvcStats): SpillOutput[ERow] = {
     require(memRows > 0)
     val out = new SpillOutput[ERow](null, "hash-join")
-    out.of(join(build, probe, arity, memRows, spill, stats, out, level = 0))
+    val table = new KeyTable(arity, counted = false)
+    out.of(join(build, probe, arity, memRows, spill, stats, out, table, level = 0))
   }
 
-  /** [[semiJoin]] of one level, spilling into `out`'s directory. */
+  /** [[semiJoin]] of one level, spilling into `out`'s directory. Below
+    * level 0 both inputs are partitions read into one reused row, so an
+    * emitted probe row is copied.
+    */
   private def join(build: Iterator[ERow], probe: Iterator[ERow], arity: Int, memRows: Int,
-                   spill: SpillStats, stats: OvcStats, out: SpillOutput[ERow],
+                   spill: SpillStats, stats: OvcStats, out: SpillOutput[ERow], table: KeyTable,
                    level: Int): Iterator[ERow] = {
-    val inMem = new mutable.ArrayBuffer[ERow]()
+    table.clear()
     var overflow = false
     while (!overflow && build.hasNext) {
-      inMem += build.next()
-      if (inMem.size > memRows) overflow = true
+      val key = build.next().key
+      stats.hashColumnAccesses += arity
+      val h = KeyTable.hash(key, arity)
+      val slot = table.slotOf(key, h)
+      if (table.entryAt(slot) < 0) {
+        table.add(slot, key, h)
+        overflow = table.size > memRows
+      }
     }
 
     if (!overflow) {
-      val set = new mutable.HashSet[LongsKey]()
-      inMem.foreach { r => stats.hashColumnAccesses += arity; set += new LongsKey(r.key) }
-      probe.filter { r =>
+      val matches = probe.filter { r =>
         stats.hashColumnAccesses += arity
-        set.contains(new LongsKey(r.key))
+        table.contains(r.key, KeyTable.hash(r.key, arity))
       }
+      if (level == 0) matches else matches.map(r => ERow(r.key.clone(), r.payload.clone()))
     } else {
-      def partition(rows: Iterator[ERow]): Array[Vector[Path]] = {
-        val spilled = new SpillWriter(out, arity, level, spill, emptyPayload = 0L)
-        rows.foreach { r =>
+      // The table's keys go first, in insertion order, then the build's rest.
+      val buildSpill = new SpillWriter(out, arity, level, spill)
+      val buildParts = buildSpill.fill {
+        val key = new Array[Long](arity)
+        var e = 0
+        while (e < table.size) { table.keyInto(e, key); buildSpill.add(key, 0L, table.hash(e)); e += 1 }
+        while (build.hasNext) {
+          val r = build.next()
           stats.hashColumnAccesses += arity
-          spilled.add(r, new LongsKey(r.key).hashCode)
+          buildSpill.add(r.key, 0L, KeyTable.hash(r.key, arity))
         }
-        spilled.finish()
       }
-
-      val buildParts = partition(inMem.iterator ++ build)
-      val probeParts = partition(probe)
+      val probeSpill = new SpillWriter(out, arity, level, spill)
+      val probeParts = probeSpill.fill {
+        while (probe.hasNext) {
+          val r = probe.next()
+          stats.hashColumnAccesses += arity
+          probeSpill.add(r.key, if (r.payload.isEmpty) 0L else r.payload(0), KeyTable.hash(r.key, arity))
+        }
+      }
 
       buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
         join(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
-             out, level + 1)
+             out, table, level + 1)
       }
     }
   }

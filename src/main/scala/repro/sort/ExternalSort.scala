@@ -59,7 +59,7 @@ object ExternalSort {
   /** Slices per run-generation chunk on `processors` cores: the largest
     * power of two not above it.
     */
-  private[sort] def slicesFor(processors: Int): Int = Integer.highestOneBit(processors)
+  private[repro] def slicesFor(processors: Int): Int = Integer.highestOneBit(processors)
 
   /** [[sort]] with run generation split into `slices` (a power of two)
     * slices per chunk; 1 is the serial path.

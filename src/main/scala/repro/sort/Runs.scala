@@ -35,8 +35,8 @@ final class SpillStats {
   * that is drained or closed); one shutdown hook deletes the paths still live
   * when the JVM exits. The set holds only live paths, so it does not grow
   * with the number of runs a long-lived JVM writes. Deleting a run file
-  * closes the reader still open on it, if any, so that deleting an
-  * abandoned consumer's directory releases its files.
+  * closes the reader or writer still open on it, if any, so that deleting
+  * an abandoned consumer's directory releases its files.
   */
 object RunFile {
 
@@ -45,8 +45,8 @@ object RunFile {
   private def rowBytes(arity: Int, payloadArity: Int): Int = 1 + 8 * (arity + 1 + payloadArity)
 
   private val live = ConcurrentHashMap.newKeySet[Path]()
-  // The open reader of each run file that has one.
-  private val readers = new ConcurrentHashMap[Path, Reader]()
+  // The open reader or writer of each run file that has one.
+  private val users = new ConcurrentHashMap[Path, Closeable]()
 
   Runtime.getRuntime.addShutdownHook(new Thread(() =>
     // Deepest first: a directory's files go before it.
@@ -68,11 +68,12 @@ object RunFile {
   }
 
   /** Deletes the spill file or empty directory `path`, if it exists, and
-    * drops it from the live spill paths; closes its reader, if one is open.
+    * drops it from the live spill paths; closes its reader or writer, if one
+    * is open.
     */
   private[sort] def delete(path: Path): Unit = {
-    val r = readers.remove(path)
-    if (r != null) r.close()
+    val u = users.remove(path)
+    if (u != null) u.close()
     Files.deleteIfExists(path)
     live.remove(path)
   }
@@ -101,25 +102,31 @@ object RunFile {
     */
   private[repro] def writeRun(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats)
                       (fill: RowWriter => Unit): Path = {
+    val out = open(dir, arity, payloadArity, spill)
+    try { fill(out); out.finish() } catch { case t: Throwable => out.close(); throw t }
+  }
+
+  /** Opens a new run file in `dir` for rows put one at a time: the one run
+    * writer, which [[writeRun]] wraps and a hash operator's spill
+    * partitions keep open. [[RowWriter.finish]] ends the run and counts it
+    * in `spill`; closing the writer before that deletes the partial file.
+    */
+  private[repro] def open(dir: Path, arity: Int, payloadArity: Int, spill: SpillStats): RowWriter = {
     val path = Files.createTempFile(dir, "run", ".bin")
     live.add(path)
-    var done = false
-    try {
-      val out = new RowWriter(FileChannel.open(path, StandardOpenOption.WRITE), arity, payloadArity)
-      try { fill(out); out.end() } finally out.close()
-      spill.rowsSpilled += out.rows
-      spill.runsWritten += 1
-      spill.bytesSpilled += 1 + out.rows * rowBytes(arity, payloadArity)
-      done = true
-      path
-    } finally if (!done) delete(path)
+    try new RowWriter(path, FileChannel.open(path, StandardOpenOption.WRITE), arity, payloadArity, spill)
+    catch { case t: Throwable => delete(path); throw t }
   }
 
   /** Puts rows into a run file through one buffer. */
-  private[repro] final class RowWriter private[RunFile] (ch: FileChannel, arity: Int, payloadArity: Int) {
+  private[repro] final class RowWriter private[RunFile] (path: Path, ch: FileChannel, arity: Int,
+                                                         payloadArity: Int, spill: SpillStats)
+      extends Closeable {
     private[this] val rowSize = rowBytes(arity, payloadArity)
     private[this] val buf = ByteBuffer.allocate(math.max(BufferBytes, rowSize))
+    private[this] var closed = false
     var rows = 0L
+    users.put(path, this)
 
     def put(key: Array[Long], code: Long, payload: Array[Long]): Unit = {
       // Fields are read once per row, so that the column loops run on locals.
@@ -136,14 +143,31 @@ object RunFile {
       rows += 1
     }
 
-    /** Writes the end marker and everything still buffered. */
-    def end(): Unit = {
+    /** Writes the end marker and everything still buffered, closes the
+      * file and counts the run in `spill`; returns the file path.
+      */
+    def finish(): Path = {
       if (!buf.hasRemaining) flush()
       buf.put(0: Byte)
       flush()
+      ch.close()
+      closed = true
+      users.remove(path, this)
+      spill.rowsSpilled += rows
+      spill.runsWritten += 1
+      spill.bytesSpilled += 1 + rows * rowSize
+      path
     }
 
-    def close(): Unit = ch.close()
+    /** Closes an unfinished run and deletes its file; later calls, and
+      * calls after [[finish]], do nothing.
+      */
+    override def close(): Unit =
+      if (!closed) {
+        closed = true
+        ch.close()
+        delete(path)
+      }
 
     private def flush(): Unit = {
       buf.flip()
@@ -162,7 +186,7 @@ object RunFile {
     private[this] val ch = FileChannel.open(path, StandardOpenOption.READ)
     private[this] var closed = false
     private[this] var pending: CodedRow = null
-    readers.put(path, this)
+    users.put(path, this)
 
     /** Makes at least `n` bytes readable. */
     private def fill(n: Int): Unit =
@@ -176,7 +200,7 @@ object RunFile {
     /** Decodes the next row into `key` and `payload` and returns its code;
       * once the run has ended, closes the reader and returns the late fence.
       * A merge reads its runs this way, into slots it reuses, and a hash
-      * partition into each row's own arrays; the iterator gives every row
+      * partition into one row it reuses; the iterator gives every row
       * arrays of its own.
       */
     private[repro] def read(key: Array[Long], payload: Array[Long]): Long =

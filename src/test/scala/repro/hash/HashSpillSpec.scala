@@ -1,9 +1,11 @@
 package repro.hash
 
-import java.io.File
-import java.nio.file.{Files, Path, Paths}
+import java.io.{EOFException, File}
+import java.nio.channels.FileChannel
+import java.nio.file.{Files, Path, Paths, StandardOpenOption}
 
 import scala.jdk.CollectionConverters._
+import scala.util.Try
 
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -91,6 +93,96 @@ class HashSpillSpec extends AnyFunSuite {
     assert((RunFile.livePaths -- before).isEmpty)
     assert(sorted.size == rows.length)
     assert(groups.size == rows.map(_.key.toVector).distinct.length)
+  }
+
+  test("a semi join whose build repeats keys more than memRows times returns the exact output") {
+    // The table holds distinct build keys: 30 copies of one key fit in a
+    // table of 10, and 60 distinct keys, each 3 times, overflow it once.
+    val before = RunFile.livePaths
+    val one = Vector.fill(30)(Vector(7L, 7L))
+    val many = (0L until 60L).flatMap(i => Seq.fill(3)(Vector(i, i + 1))) ++ one
+    val probe = (0L until 100L).map(i => Vector(i, i + 1)) :+ Vector(7L, 7L)
+    for ((build, spills) <- Seq(one -> false, many -> true)) {
+      val spill = new SpillStats
+      val out = HashJoin.semiJoin(build.iterator.map(k => ERow(k.toArray)),
+                                  probe.iterator.map(k => ERow(k.toArray)), 2, 10, spill, new OvcStats)
+      val got = try out.map(_.key.toVector).toVector finally out.close()
+      assert(got.sortBy(_.mkString(",")) == probe.filter(build.toSet).sortBy(_.mkString(",")))
+      assert(spill.rowsSpilled > 0 == spills, spill)
+    }
+    assert((RunFile.livePaths -- before).isEmpty)
+  }
+
+  test("rows read back from spill partitions keep their key and count or payload once emitted") {
+    // 8,000 groups and 50 in memory: the ~500-group partitions of level 0
+    // spill again, so rows are read back at two levels at least.
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    val aggSpill = new SpillStats
+    val groups = HashAgg.groupCount(rows.iterator, 3, 50, aggSpill, new OvcStats)
+    val counted = try groups.toVector finally groups.close()
+    assert(aggSpill.rowsSpilled > rows.length, aggSpill)
+    val weights = rows.groupMapReduce(_.key.toVector)(r => Vector(r.payload(0)))((a, b) => Vector(a(0) + b(0)))
+    assert(counted.map(r => r.key.toVector -> r.payload.toVector).toMap == weights)
+    assert(counted.size == weights.size)
+
+    // 3,000 build keys and 20 in memory: 16 partitions of ~190 keys recurse.
+    val keys = DataGen.randomRows(3000, 2, 80, seed = 12).map(_.key.toVector).distinct
+    val probe = DataGen.randomRows(3000, 2, 80, seed = 13).map(_.key.toVector).distinct
+      .map(k => ERow(k.toArray, Array(k(0) * 1000 + k(1))))
+    val joinSpill = new SpillStats
+    val joined = HashJoin.semiJoin(keys.iterator.map(k => ERow(k.toArray)), probe.iterator, 2, 20,
+                                   joinSpill, new OvcStats)
+    val matched = try joined.toVector finally joined.close()
+    assert(joinSpill.rowsSpilled > keys.length + probe.length, joinSpill)
+    val expected = probe.filter(r => keys.contains(r.key.toVector))
+      .map(r => r.key.toVector -> r.payload.toVector).toSet
+    assert(matched.map(r => r.key.toVector -> r.payload.toVector).toSet == expected)
+    assert(matched.size == expected.size)
+  }
+
+  test("a hash operator whose input fails part-way through a spill leaves no spill path or open run") {
+    val before = RunFile.livePaths
+    def failing(rows: Array[ERow]): Iterator[ERow] =
+      rows.iterator ++ Iterator.fill[ERow](1)(throw new IllegalStateException("input failed"))
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    intercept[IllegalStateException](HashAgg.groupCount(failing(rows), 3, 50, new SpillStats, new OvcStats))
+    val keys = DataGen.randomRows(3000, 2, 80, seed = 12).map(_.key.toVector).distinct.map(k => ERow(k.toArray))
+    intercept[IllegalStateException](
+      HashJoin.semiJoin(keys.iterator, failing(keys), 2, 20, new SpillStats, new OvcStats))
+    assert((RunFile.livePaths -- before).isEmpty)
+    assert(openSpillFiles().isEmpty, openSpillFiles())
+  }
+
+  test("a hash aggregation that fails reading a partition back closes the runs it has open") {
+    val before = RunFile.livePaths
+    val rows = DataGen.randomRows(30000, 3, 20, seed = 11, payloadArity = 1)
+    val out = HashAgg.groupCount(rows.iterator, 3, 50, new SpillStats, new OvcStats)
+    // Level 0 has spilled its partitions; cut each in half, so that level 1
+    // fails part-way, after it has opened runs of its own.
+    val cut = {
+      val s = Files.list(out.dir)
+      try s.iterator().asScala.toVector finally s.close()
+    }
+    cut.foreach { f =>
+      val ch = FileChannel.open(f, StandardOpenOption.WRITE)
+      try ch.truncate(ch.size / 2) finally ch.close()
+    }
+    intercept[EOFException](out.foreach(_ => ()))
+    val cutNames = cut.map(_.getFileName.toString).toSet
+    val open = openSpillFiles().filterNot(p => cutNames(Paths.get(p.stripSuffix(" (deleted)")).getFileName.toString))
+    assert(open.isEmpty, open)
+    out.close()
+    assert((RunFile.livePaths -- before).isEmpty)
+  }
+
+  /** The files under a hash operator's spill directory that this JVM has
+    * open, where the OS lists them.
+    */
+  private def openSpillFiles(): Seq[String] = {
+    val fds = new File("/proc/self/fd")
+    assume(fds.isDirectory, "no /proc/self/fd")
+    fds.listFiles().toSeq.flatMap(f => Try(Files.readSymbolicLink(f.toPath).toString).toOption)
+      .filter(p => p.contains("/hash-agg") || p.contains("/hash-join"))
   }
 
   /** This JVM's open file descriptors, where the OS lists them. */

@@ -82,6 +82,26 @@ class IntersectPlansSpec extends AnyFunSuite {
     assert(perRow < 28, f"$perRow%.2f B per input row")
   }
 
+  test("the hash plan allocates under 120 bytes per input row on a spilling input") {
+    // The sort plan's test input, with memory for 50,000 rows per operator:
+    // every operator spills. What the calling thread allocates is mostly
+    // the aggregations' output rows, one per group, and the join's output.
+    val n = 500000
+    val base = math.ceil(math.pow(3.0 * n / 4, 1.0 / 4)).toLong
+    val t1 = Fig3Harness.makeInput(n, 0, n / 2, 4, base, seed = 42)
+    val t2 = Fig3Harness.makeInput(n, n / 4, 3L * n / 4, 4, base, seed = 43)
+    def run() = IntersectPlans.hashBased(() => t1.iterator, () => t2.iterator, 4, memRows = n / 10)
+    (0 until 3).foreach(_ => run()) // warm-up
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = mx.getCurrentThreadAllocatedBytes
+    val m = run()
+    val perRow = (mx.getCurrentThreadAllocatedBytes - before).toDouble / (2 * n)
+    info(f"$perRow%.2f B per input row, ${m.outputRows} output rows")
+    assert(m.spilledRows > 0)
+    assert(perRow < 120, f"$perRow%.2f B per input row")
+  }
+
   test("the sort plan deletes its spill directories, even for an input the join leaves unread") {
     def sortDirs(): Set[String] = {
       val s = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))

@@ -1,7 +1,10 @@
 package repro.sort
 
-import java.io.{ByteArrayOutputStream, DataOutputStream}
+import java.io.{ByteArrayOutputStream, DataOutputStream, File}
+import java.nio.channels.ClosedChannelException
 import java.nio.file.{Files, Path}
+
+import scala.util.Try
 
 import org.scalatest.funsuite.AnyFunSuite
 
@@ -104,6 +107,42 @@ class RunFileSpec extends AnyFunSuite {
     try assert(left.count() == 0) finally left.close()
     assert(spill.toString == new SpillStats().toString)
     Files.delete(dir)
+  }
+
+  test("a writeRun whose fill throws deletes its partial file and counts nothing") {
+    val dir = Files.createTempDirectory("runfile-spec")
+    val spill = new SpillStats
+    // 5,000 rows of 49 B fill several buffers, so the partial file has bytes.
+    intercept[IllegalStateException](RunFile.writeRun(dir, 4, 1, spill) { w =>
+      rows(5000, 4, 1, seed = 6).foreach(r => w.put(r.key, r.code, r.payload))
+      throw new IllegalStateException("fill failed")
+    })
+    val left = Files.list(dir)
+    try assert(left.count() == 0) finally left.close()
+    assert(spill.toString == new SpillStats().toString)
+    assert(openFilesUnder(dir).isEmpty)
+    Files.delete(dir)
+  }
+
+  test("closing a spill output closes the run writers still open in its directory") {
+    val out = new SpillOutput[CodedRow](null, "runfile-spec")
+    val spill = new SpillStats
+    val w = RunFile.open(out.dir, 4, 1, spill)
+    rows(5000, 4, 1, seed = 7).foreach(r => w.put(r.key, r.code, r.payload))
+    assert(openFilesUnder(out.dir).size == 1)
+    out.close()
+    assert(openFilesUnder(out.dir).isEmpty)
+    assert(!Files.exists(out.dir))
+    intercept[ClosedChannelException](w.finish())
+    assert(spill.toString == new SpillStats().toString)
+  }
+
+  /** The files under `dir` that this JVM has open, where the OS lists them. */
+  private def openFilesUnder(dir: Path): Seq[String] = {
+    val fds = new File("/proc/self/fd")
+    assume(fds.isDirectory, "no /proc/self/fd")
+    fds.listFiles().toSeq.flatMap(f => Try(Files.readSymbolicLink(f.toPath).toString).toOption)
+      .filter(_.startsWith(dir.toString + "/"))
   }
 
   // Slice edges around T/P for a 4096-entry tree, and a 100 k chunk whose last
