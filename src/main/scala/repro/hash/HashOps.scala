@@ -100,15 +100,16 @@ private[hash] final class KeyTable(arity: Int, counted: Boolean) {
 private[hash] object KeyTable {
   val InitialEntries: Int = 64
 
-  /** The hash of `key`'s `arity` columns; computing it touches every column
-    * (charged to `OvcStats.hashColumnAccesses` by callers), mirroring the
-    * paper's point that hash-based execution needs N*K column accesses for
-    * the hash function alone.
+  /** The hash of `key`'s `arity` columns, each xor-ed with `seed`, which
+    * spreads keys that share their hash under another seed. Computing it
+    * touches every column, as the paper's N*K column accesses for hashing
+    * alone, and charges them to `stats.hashColumnAccesses`.
     */
-  def hash(key: Array[Long], arity: Int): Int = {
+  def hash(key: Array[Long], arity: Int, seed: Long, stats: OvcStats): Int = {
+    stats.hashColumnAccesses += arity
     var h = 1
     var i = 0
-    while (i < arity) { h = 31 * h + java.lang.Long.hashCode(key(i) * 0x9e3779b97f4a7c15L); i += 1 }
+    while (i < arity) { h = 31 * h + java.lang.Long.hashCode((key(i) ^ seed) * 0x9e3779b97f4a7c15L); i += 1 }
     h
   }
 
@@ -206,10 +207,11 @@ private[hash] object SpillWriter {
   */
 object HashAgg {
 
-  /** Count rows per distinct key. Absorbs rows whose group is already (or
-    * still fits) in memory; once the table holds `memGroups` groups, rows of
-    * unseen groups spill to one of the [[SpillWriter]] partitions, processed
-    * recursively after the input drains. One [[KeyTable]] serves every level.
+  /** Count rows per distinct key, weighing a row by its payload column 0
+    * if it has one. Absorbs rows whose group is already (or still fits) in
+    * memory; once the table holds `memGroups` groups, rows of unseen groups
+    * spill to one of the [[SpillWriter]] partitions, processed recursively
+    * after the input drains. One [[KeyTable]] serves every level.
     */
   def groupCount(input: Iterator[ERow], arity: Int, memGroups: Int,
                  spill: SpillStats, stats: OvcStats): SpillOutput[ERow] = {
@@ -230,10 +232,9 @@ object HashAgg {
     val parts = spilled.fill {
       while (input.hasNext) {
         val r = input.next()
-        stats.hashColumnAccesses += arity // hash function touches every column
         val key = r.key
         val w = if (r.payload.nonEmpty) r.payload(0) else 1L
-        val h = KeyTable.hash(key, arity)
+        val h = KeyTable.hash(key, arity, 0L, stats)
         val slot = table.slotOf(key, h)
         var e = table.entryAt(slot)
         if (e < 0 && table.size < memGroups) e = table.add(slot, key, h)
@@ -254,7 +255,8 @@ object HashAgg {
   * blocking operator of the paper's Figure 2 hash plan. The table holds the
   * build input's distinct keys; once it holds more than `memRows`, both
   * sides are partitioned to local files (each row spilled once) and the
-  * partitions are joined recursively.
+  * partitions are joined recursively; a level whose parent put every build
+  * row into one partition hashes with a seed of its own, else as its parent.
   */
 object HashJoin {
 
@@ -266,22 +268,21 @@ object HashJoin {
     require(memRows > 0)
     val out = new SpillOutput[ERow](null, "hash-join")
     val table = new KeyTable(arity, counted = false)
-    out.of(join(build, probe, arity, memRows, spill, stats, out, table, level = 0))
+    out.of(join(build, probe, arity, memRows, spill, stats, out, table, level = 0, seed = 0L))
   }
 
-  /** [[semiJoin]] of one level, spilling into `out`'s directory. Below
-    * level 0 both inputs are partitions read into one reused row, so an
-    * emitted probe row is copied.
+  /** [[semiJoin]] of one level, hashing with `seed`, spilling into `out`'s
+    * directory. Below level 0 both inputs are partitions read into one
+    * reused row, so an emitted probe row is copied.
     */
   private def join(build: Iterator[ERow], probe: Iterator[ERow], arity: Int, memRows: Int,
                    spill: SpillStats, stats: OvcStats, out: SpillOutput[ERow], table: KeyTable,
-                   level: Int): Iterator[ERow] = {
+                   level: Int, seed: Long): Iterator[ERow] = {
     table.clear()
     var overflow = false
     while (!overflow && build.hasNext) {
       val key = build.next().key
-      stats.hashColumnAccesses += arity
-      val h = KeyTable.hash(key, arity)
+      val h = KeyTable.hash(key, arity, seed, stats)
       val slot = table.slotOf(key, h)
       if (table.entryAt(slot) < 0) {
         table.add(slot, key, h)
@@ -290,10 +291,7 @@ object HashJoin {
     }
 
     if (!overflow) {
-      val matches = probe.filter { r =>
-        stats.hashColumnAccesses += arity
-        table.contains(r.key, KeyTable.hash(r.key, arity))
-      }
+      val matches = probe.filter(r => table.contains(r.key, KeyTable.hash(r.key, arity, seed, stats)))
       if (level == 0) matches else matches.map(r => ERow(r.key.clone(), r.payload.clone()))
     } else {
       // The table's keys go first, in insertion order, then the build's rest.
@@ -304,22 +302,22 @@ object HashJoin {
         while (e < table.size) { table.keyInto(e, key); buildSpill.add(key, 0L, table.hash(e)); e += 1 }
         while (build.hasNext) {
           val r = build.next()
-          stats.hashColumnAccesses += arity
-          buildSpill.add(r.key, 0L, KeyTable.hash(r.key, arity))
+          buildSpill.add(r.key, 0L, KeyTable.hash(r.key, arity, seed, stats))
         }
       }
       val probeSpill = new SpillWriter(out, arity, level, spill)
       val probeParts = probeSpill.fill {
         while (probe.hasNext) {
           val r = probe.next()
-          stats.hashColumnAccesses += arity
-          probeSpill.add(r.key, if (r.payload.isEmpty) 0L else r.payload(0), KeyTable.hash(r.key, arity))
+          val w = if (r.payload.isEmpty) 0L else r.payload(0)
+          probeSpill.add(r.key, w, KeyTable.hash(r.key, arity, seed, stats))
         }
       }
 
+      val next = if (buildParts.count(_.nonEmpty) == 1) (level + 1) * 0xc2b2ae3d27d4eb4fL else seed
       buildParts.iterator.zip(probeParts).flatMap { case (b, q) =>
         join(SpillWriter.read(b, arity), SpillWriter.read(q, arity), arity, memRows, spill, stats,
-             out, table, level + 1)
+             out, table, level + 1, next)
       }
     }
   }

@@ -49,20 +49,19 @@ object MergeJoinOp {
   def apply(left: Iterator[CodedRow], leftArity: Int,
             right: Iterator[CodedRow], rightArity: Int,
             joinLen: Int, jt: JoinType, stats: OvcStats,
-            rightPayloadArity: Int = 0,
-            nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
+            rightPayloadArity: Int = 0): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= leftArity && joinLen <= rightArity,
             s"bad joinLen $joinLen for arities $leftArity/$rightArity")
     new MergeJoinIterator(SpillOutput.cursor(left), leftArity, SpillOutput.cursor(right),
-                          rightArity, joinLen, jt, stats, rightPayloadArity, nullSentinel)
+                          rightArity, joinLen, jt, stats, rightPayloadArity)
   }
 
   private final class MergeJoinIterator(
       left: CodedCursor, leftArity: Int,
       right: CodedCursor, rightArity: Int,
       joinLen: Int, jt: JoinType, stats: OvcStats,
-      rightPayloadArity: Int, nullSentinel: Long)
-      extends JoinOutput(jt, rightArity - joinLen + rightPayloadArity, nullSentinel) {
+      rightPayloadArity: Int)
+      extends JoinOutput(jt, rightArity - joinLen + rightPayloadArity) {
 
     private[this] val cmp = new OvcComparator(joinLen, stats)
 
@@ -143,12 +142,12 @@ object MergeJoinOp {
   * code ([[CodedCursor.row]]);
   * extra outputs of one left row (multiple matches) carry the duplicate code.
   * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
-  * an outer join extends an unmatched left row by `nulls` copies of
-  * `nullSentinel`. Subclasses queue output in `fill` through [[unmatched]]
-  * and [[matched]], given the left input's cursor on the row, which is
-  * taken as a row object ([[CodedCursor.row]]) only if it is emitted.
+  * an outer join extends an unmatched left row by `nulls` copies of the
+  * null sentinel `Long.MinValue`. Subclasses queue output in `fill` through
+  * [[unmatched]] and [[matched]], given the left input's cursor on the row,
+  * which is taken as a row object ([[CodedCursor.row]]) only if emitted.
   */
-private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: Long)
+private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int)
     extends Iterator[CodedRow] {
 
   protected[this] val out = mutable.Queue.empty[CodedRow]
@@ -163,7 +162,7 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int, nullSentinel: L
     case JoinType.LeftOuter =>
       val r = l.row()
       val p = java.util.Arrays.copyOf(r.payload, r.payload.length + nulls)
-      java.util.Arrays.fill(p, r.payload.length, p.length, nullSentinel)
+      java.util.Arrays.fill(p, r.payload.length, p.length, Long.MinValue)
       out += CodedRow(r.key, fold.keep(r.code), p)
   }
 
@@ -206,10 +205,9 @@ object LookupJoinOp {
             lookup: Array[Long] => IndexedSeq[(Array[Long], Array[Long])],
             jt: JoinType, stats: OvcStats,
             lookupStats: LookupStats = new LookupStats,
-            nullSentinelArity: Int = 0,
-            nullSentinel: Long = Long.MinValue): Iterator[CodedRow] = {
+            nullSentinelArity: Int = 0): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= outerArity)
-    new JoinOutput(jt, nullSentinelArity, nullSentinel) {
+    new JoinOutput(jt, nullSentinelArity) {
       private[this] val l = SpillOutput.cursor(outer)
       private[this] var cached: IndexedSeq[(Array[Long], Array[Long])] = null
 

@@ -1,8 +1,8 @@
 package repro.ops
 
-import scala.collection.mutable.ArrayBuffer
+import java.util.Arrays
 
-import repro.core.{CodedRow, Ovc, OvcStats}
+import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 import repro.sort.LoserTree
 
 /** Segmented sorting (paper §4.3).
@@ -30,40 +30,41 @@ object SegmentedSortOp {
 
     new Iterator[CodedRow] {
       private[this] var nextSeg: CodedRow = if (in.hasNext) in.next() else null
-      private[this] var segOut: Iterator[CodedRow] = Iterator.empty
+      // The segment's rows re-keyed to S ++ C, in an array as long as the
+      // tree storage, a power of two; their tree; and the code of the
+      // segment's first row, or -1 once that row has left.
+      private[this] var seg = new Array[ERow](16)
+      private[this] var storage = new LoserTree.Storage(seg.length)
+      private[this] var sorted: LoserTree = null
+      private[this] var boundaryCode = -1L
 
       private def loadSegment(): Unit =
-        while (!segOut.hasNext && nextSeg != null) {
-          val first = nextSeg
-          nextSeg = null
-          val seg = ArrayBuffer(first)
-          var continue = true
-          while (continue && in.hasNext) {
-            val r = in.next()
-            stats.codeComparisons += 1
-            if (Ovc.isBoundary(r.code, inArity, segLen)) { nextSeg = r; continue = false }
-            else seg += r
-          }
+        while ((sorted == null || !sorted.hasNext) && nextSeg != null) {
           // Boundary code on the new key: offsets < segLen index shared S columns.
-          val boundaryCode = Ovc.recode(first.code, inArity, newArity)
-          // Re-key each row to S ++ C, coded relative to the segment base.
-          val rekeyed = seg.map { r =>
-            val key = new Array[Long](newArity)
-            System.arraycopy(r.key, 0, key, 0, segLen)
-            var i = 0
-            while (i < newSuffixLen) { key(segLen + i) = r.payload(i); i += 1 }
-            Ovc.requireKey(key, newArity)
-            Iterator.single(CodedRow(key, Ovc.codeAt(key, segLen), r.payload))
-          }
-          val sorted = new LoserTree(rekeyed.toIndexedSeq, newArity, stats)
-          var firstOut = true
-          segOut = sorted.map { r =>
-            if (firstOut) { firstOut = false; CodedRow(r.key, boundaryCode, r.payload) } else r
-          }
+          boundaryCode = Ovc.recode(nextSeg.code, inArity, newArity)
+          var r = nextSeg
+          var n = 0
+          do {
+            if (n == seg.length) { seg = Arrays.copyOf(seg, 2 * n); storage = new LoserTree.Storage(2 * n) }
+            val key = Arrays.copyOf(r.key, newArity)
+            System.arraycopy(r.payload, 0, key, segLen, newSuffixLen)
+            seg(n) = ERow(key, r.payload)
+            n += 1
+            r = if (in.hasNext) { stats.codeComparisons += 1; in.next() } else null
+          } while (r != null && !Ovc.isBoundary(r.code, inArity, segLen))
+          nextSeg = r
+          sorted = LoserTree.ofRows(seg, 0, n, newArity, stats, storage, base = segLen)
         }
 
-      override def hasNext: Boolean = { loadSegment(); segOut.hasNext }
-      override def next(): CodedRow = { loadSegment(); segOut.next() }
+      override def hasNext: Boolean = { loadSegment(); sorted != null && sorted.hasNext }
+
+      override def next(): CodedRow = {
+        if (!hasNext) throw new NoSuchElementException("segmented sort exhausted")
+        sorted.move()
+        val code = if (boundaryCode >= 0) boundaryCode else sorted.code
+        boundaryCode = -1L
+        sorted.row(code)
+      }
     }
   }
 }

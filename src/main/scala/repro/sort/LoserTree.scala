@@ -209,11 +209,11 @@ object LoserTree {
 
   /** [[ofRows]] over `rows(from until from + n)`, whose entry e is row
     * `from + e`, in `storage` if it is not null, skipping duplicates if
-    * `dedup`.
+    * `dedup`, each row entering coded at offset `base` (`Ovc.codeAt`).
     */
-  private[sort] def ofRows(rows: Array[ERow], from: Int, n: Int, arity: Int, stats: OvcStats,
-                           storage: Storage, dedup: Boolean = false): LoserTree =
-    new LoserTree(new Singles(rows, from, n, arity), arity, stats, storage, dedup)
+  private[repro] def ofRows(rows: Array[ERow], from: Int, n: Int, arity: Int, stats: OvcStats,
+                            storage: Storage, dedup: Boolean = false, base: Int = 0): LoserTree =
+    new LoserTree(new Singles(rows, from, n, arity, base), arity, stats, storage, dedup)
 
   /** A tree over `count` sorted slices: entry j's rows are the keys
     * `keys(i * arity until (i + 1) * arity)`, codes `codes(i)` and payloads
@@ -243,11 +243,11 @@ object LoserTree {
   /** Entries of a tree over `n` inputs: `n` rounded up to a power of two. */
   private[sort] def padded(n: Int): Int = { var s = 1; while (s < n) s <<= 1; s }
 
-  /** The entry and node arrays of a tree of up to `size` entries. A run
-    * generator keeps one per slice of its chunks and reuses it for every
-    * chunk; a tree overwrites every slot it reads before reading it.
+  /** The entry and node arrays of a tree of up to `size` entries, reused by
+    * each slice of run generation for every chunk, and by a segmented sort
+    * for every segment; a tree overwrites every slot it reads before reading it.
     */
-  private[sort] final class Storage(val size: Int) {
+  private[repro] final class Storage(val size: Int) {
     val keys     = new Array[Array[Long]](size)
     val payloads = new Array[Array[Long]](size)
     val codes    = new Array[Long](size)
@@ -293,15 +293,15 @@ object LoserTree {
       }
   }
 
-  /** One row per entry, coded relative to "-inf"; an emitted entry is a
+  /** One row per entry, coded at offset `base`; an emitted entry is a
     * fence at once.
     */
-  private final class Singles(rows: Array[ERow], from: Int, n: Int, arity: Int) extends Leaves(n) {
+  private final class Singles(rows: Array[ERow], from: Int, n: Int, arity: Int, base: Int) extends Leaves(n) {
     override def first(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = {
       val r = rows(from + e)
       Ovc.requireKey(r.key, arity)
       keys(e) = r.key; payloads(e) = r.payload
-      Ovc.initial(r.key)
+      Ovc.codeAt(r.key, base)
     }
 
     def next(e: Int, keys: Array[Array[Long]], payloads: Array[Array[Long]]): Long = Ovc.LateFence

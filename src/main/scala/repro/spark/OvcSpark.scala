@@ -14,8 +14,9 @@ import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType, StructField, StructType}
 
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
-import repro.ops.{GroupAggOp, JoinType, MergeJoinOp}
-import repro.sort.ExternalSort
+import repro.ops.GroupAggOp
+import repro.plans.IntersectPlans
+import repro.sort.SpillStats
 
 /** A key vector with lexicographic ordering and value equality, usable as a
   * key in a hashed or range-partitioned RDD shuffle. `OvcSpark` itself moves
@@ -126,22 +127,13 @@ object OvcSpark {
       df.select(bigintKeys(df, keyCols): _*).repartition(parts, keyCols.map(c => col(quoted(c))): _*)
         .queryExecution.toRdd
 
+    // Run files go where Spark spills its own. The join may leave a sort
+    // unread and a task may fail: each sort is closed when its task completes.
     val joined = hashed(df1).zipPartitions(hashed(df2)) { (i1, i2) =>
-      val stats = new OvcStats
-      val spill = new repro.sort.SpillStats
-      // Run files go where Spark puts its own spill on this executor.
-      val tmpDir = Paths.get(OvcShim.localDir())
-      // The join stops pulling its right input when the left one ends, and a
-      // task may fail or be cancelled: closing each sort when the task
-      // completes deletes the run files left unread.
-      def distinctSorted(it: Iterator[InternalRow]): Iterator[CodedRow] = {
-        val sorted = ExternalSort.sort(it.map(r => ERow(longKey(r, arity))), arity, 0,
-                                       memRows, stats, spill, dedup = true, tmpDir = tmpDir)
-        TaskContext.get().addTaskCompletionListener[Unit](_ => sorted.close())
-        sorted
-      }
-      longRows(MergeJoinOp(distinctSorted(i1), arity, distinctSorted(i2), arity, arity,
-                           JoinType.LeftSemi, stats), arity, payloadCols = 0)
+      def keys(it: Iterator[InternalRow]) = it.map(r => ERow(longKey(r, arity)))
+      val own: java.io.Closeable => Unit = c => TaskContext.get().addTaskCompletionListener[Unit](_ => c.close())
+      longRows(IntersectPlans.sortPlan(keys(i1), keys(i2), arity, memRows, new OvcStats, new SpillStats,
+                                       Paths.get(OvcShim.localDir()), own), arity, payloadCols = 0)
     }
     val schema = StructType(keyCols.map(c => StructField(c, LongType, nullable = false)))
     OvcShim.internalDataFrame(spark, joined, schema)

@@ -113,6 +113,29 @@ class HashSpillSpec extends AnyFunSuite {
     assert((RunFile.livePaths -- before).isEmpty)
   }
 
+  test("a semi join over more than memRows distinct build keys that share one hash returns the exact output") {
+    // The hash multiplies each column by m and folds it to 32 bits, so a
+    // column c * m^-1 (mod 2^64), for c in [0, 2^31), hashes as c. With
+    // c1 = i and c2 = 3100 - 31 i every key hashes to
+    // 31 * (31 + c1) + c2 = 4061.
+    val m = 0x9e3779b97f4a7c15L
+    val inv = Iterator.iterate(m)(x => x * (2 - m * x)).drop(5).next()
+    assert(m * inv == 1L)
+    def key(i: Long, shift: Long) = Vector(i * inv, (3100 - 31 * i + shift) * inv)
+    val build = (0L until 100L).map(key(_, 0))
+    assert(build.map(k => KeyTable.hash(k.toArray, 2, 0L, new OvcStats)).toSet == Set(4061))
+    // Every other build key, and 50 keys that share another hash.
+    val probe = build.indices.filter(_ % 2 == 0).map(build) ++ (0L until 50L).map(key(_, 1))
+    val before = RunFile.livePaths
+    val spill = new SpillStats
+    val out = HashJoin.semiJoin(build.iterator.map(k => ERow(k.toArray)),
+                                probe.iterator.map(k => ERow(k.toArray)), 2, 10, spill, new OvcStats)
+    val got = try out.map(_.key.toVector).toVector finally out.close()
+    assert(got.sortBy(_.mkString(",")) == build.indices.filter(_ % 2 == 0).map(build).sortBy(_.mkString(",")))
+    assert(spill.rowsSpilled > 0, spill)
+    assert((RunFile.livePaths -- before).isEmpty)
+  }
+
   test("rows read back from spill partitions keep their key and count or payload once emitted") {
     // 8,000 groups and 50 in memory: the ~500-group partitions of level 0
     // spill again, so rows are read back at two levels at least.

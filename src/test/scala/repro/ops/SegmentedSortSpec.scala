@@ -42,6 +42,19 @@ class SegmentedSortSpec extends AnyFunSuite {
     }
   }
 
+  // Code, column and row comparisons of the sort below, per seed.
+  for ((seed, pinned) <- Seq(21L -> ((20576L, 2875L, 17577L)), 22L -> ((20504L, 2875L, 17505L))))
+    test(s"pinned output and comparison counts of a segmented sort (seed=$seed)") {
+      val (in, expected, inArity, _) = makeCase(3000, segLen = 2, bLen = 2, cLen = 2, dpc = 5, seed)
+      val stats = new OvcStats
+      val out = SegmentedSortOp(in.iterator, inArity, 2, 2, stats).toVector
+      def rows(rs: Vector[CodedRow]) = rs.map(r => (r.key.toVector, r.code, r.payload.toVector))
+      assert(rows(out) == rows(expected))
+      val counts = (stats.codeComparisons, stats.columnComparisons, stats.rowComparisons)
+      info(s"counts=$counts")
+      assert(counts == pinned)
+    }
+
   test("one giant segment (constant S) degenerates to a plain sort of C") {
     val rnd = new scala.util.Random(5)
     val rows = Array.fill(500)(ERow(Array(1L, rnd.nextInt(10).toLong), Array(rnd.nextInt(10).toLong)))

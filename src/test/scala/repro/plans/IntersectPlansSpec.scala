@@ -8,6 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.benchlib.Fig3Harness
 import repro.core._
+import repro.sort.RunFile
 
 /** The two "intersect distinct" plans of Figure 2/3 at test scale. */
 class IntersectPlansSpec extends AnyFunSuite {
@@ -102,19 +103,51 @@ class IntersectPlansSpec extends AnyFunSuite {
     assert(perRow < 120, f"$perRow%.2f B per input row")
   }
 
+  /** The names of the entries of the temporary-file directory that start
+    * with `prefix`.
+    */
+  private def tmpDirs(prefix: String): Set[String] = {
+    val s = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))
+    try s.iterator().asScala.map(_.getFileName.toString).filter(_.startsWith(prefix)).toSet
+    finally s.close()
+  }
+
   test("the sort plan deletes its spill directories, even for an input the join leaves unread") {
-    def sortDirs(): Set[String] = {
-      val s = Files.list(Paths.get(System.getProperty("java.io.tmpdir")))
-      try s.iterator().asScala.map(_.getFileName.toString).filter(_.startsWith("ovc-sort")).toSet
-      finally s.close()
-    }
     // Left keys end below the right ones, so the merge join stops pulling
     // its right input early.
     val t1 = DataGen.randomRows(3000, 3, 4, seed = 21)
     val t2 = DataGen.randomRows(3000, 3, 8, seed = 22)
-    val before = sortDirs()
+    val before = tmpDirs("ovc-sort")
     val sort = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, 3, memRows = 500)
     assert(sort.spilledRows > 0)
-    assert(sortDirs() -- before == Set.empty)
+    assert(tmpDirs("ovc-sort") -- before == Set.empty)
+  }
+
+  test("the sort plan whose second input holds a negative key throws and releases its spilled first sort") {
+    val t1 = DataGen.randomRows(3000, 3, 8, seed = 31)
+    val t2 = DataGen.randomRows(3000, 3, 8, seed = 32)
+    t2(1500) = ERow(Array(1L, -2L, 3L))
+    assert(IntersectPlans.sortBased(() => t1.iterator, () => t1.iterator, 3, memRows = 500).spilledRows > 0)
+    val before = tmpDirs("ovc-sort")
+    val live = RunFile.livePaths
+    intercept[IllegalArgumentException](
+      IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, 3, memRows = 500))
+    assert(tmpDirs("ovc-sort") -- before == Set.empty)
+    assert(RunFile.livePaths -- live == Set.empty)
+  }
+
+  test("the hash plan whose second input fails part-way deletes every spill directory") {
+    // At most 512 keys a side and 50 groups in memory: the first side's
+    // aggregation spills before the second side's input fails.
+    val t1 = DataGen.randomRows(3000, 3, 8, seed = 33)
+    val t2 = DataGen.randomRows(3000, 3, 8, seed = 34)
+    def failing = t2.iterator.take(1500) ++ Iterator.fill[ERow](1)(throw new IllegalStateException("input failed"))
+    assert(IntersectPlans.hashBased(() => t1.iterator, () => t1.iterator, 3, memRows = 50).spilledRows > 0)
+    val before = tmpDirs("hash-")
+    val live = RunFile.livePaths
+    intercept[IllegalStateException](
+      IntersectPlans.hashBased(() => t1.iterator, () => failing, 3, memRows = 50))
+    assert(tmpDirs("hash-") -- before == Set.empty)
+    assert(RunFile.livePaths -- live == Set.empty)
   }
 }

@@ -1,10 +1,13 @@
 package repro.spark
 
-import java.nio.file.Files
+import java.nio.file.{Files, Path, Paths}
 
-import org.apache.spark.sql.DataFrame
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, OvcShim}
 
 import repro.SparkSpec
+import repro.sort.RunFile
 
 /** Every Spark entry point rejects a key outside the OVC value domain
   * [0, 2^48), a null key and a non-integral key column instead of writing a
@@ -45,6 +48,25 @@ class KeyDomainSpec extends SparkSpec {
       import spark.implicits._
       Seq((1.0, 2L), (3.0, 4L)).toDF("a", "b")
     }))
+
+  test("intersectDistinct whose second side holds a negative key fails and leaves no run file") {
+    import spark.implicits._
+    // One partition pair, and 100 rows in memory: the first side's sort
+    // spills 50 runs before the second side's sort meets the negative key.
+    val t1 = spark.range(5000).selectExpr("id AS a", "id % 7 AS b")
+    val t2 = Seq((1L, 2L), (3L, -4L), (5L, 6L)).toDF("a", "b")
+    def sortDirs(): Set[Path] = {
+      val ls = Files.newDirectoryStream(Paths.get(OvcShim.localDir()), "ovc-sort*")
+      try ls.asScala.toSet finally ls.close()
+    }
+    val before = sortDirs()
+    val live = RunFile.livePaths
+    val e = intercept[Exception](
+      OvcSpark.intersectDistinct(t1, t2, keys, numPartitions = 1, memRows = 100).collect())
+    assert(rootCause(e).isInstanceOf[IllegalArgumentException], e)
+    assert(sortDirs() -- before == Set.empty)
+    assert(RunFile.livePaths -- live == Set.empty)
+  }
 
   for ((entry, run) <- entryPoints; (what, df) <- badKeys)
     test(s"$entry rejects $what") {
