@@ -68,6 +68,35 @@ object CodedCursor {
   }
 }
 
+/** An ordered operator's output, with both faces: its own [[CodedCursor]],
+  * read in place, and an `Iterator[CodedRow]` over it, whose `hasNext`
+  * looks ahead by one [[move]] and whose `next()` is [[move]] then [[row]].
+  * So a row becomes an object only where a consumer keeps it. A stream is
+  * read either as an iterator or through its cursor; a consumer that takes
+  * the cursor of a stream looked ahead on as an iterator reads the iterator
+  * ([[lookedAhead]], `SpillOutput.cursor`).
+  */
+abstract class CodedIterator extends Iterator[CodedRow] with CodedCursor {
+  // Whether `hasNext` has moved for a `next()` still to come, and the
+  // result of that move.
+  private[this] var ahead = false
+  private[this] var live = false
+
+  /** True while a `hasNext` has moved and no `next()` has taken the row. */
+  final def lookedAhead: Boolean = ahead
+
+  final override def hasNext: Boolean = {
+    if (!ahead) { live = move(); ahead = true }
+    live
+  }
+
+  final override def next(): CodedRow = {
+    if (!hasNext) throw new NoSuchElementException("coded stream exhausted")
+    ahead = false
+    row()
+  }
+}
+
 /** Invariant checks shared by tests and debug assertions. */
 object OvcInvariants {
 

@@ -2,7 +2,7 @@ package repro.ops
 
 import scala.collection.mutable
 
-import repro.core.{CodedCursor, CodedRow, Ovc, OvcComparator, OvcStats}
+import repro.core.{CodedCursor, CodedIterator, CodedRow, Ovc, OvcComparator, OvcStats}
 import repro.sort.SpillOutput
 
 /** Join types supported by [[MergeJoinOp]] and [[LookupJoinOp]]. Right-sided
@@ -30,15 +30,17 @@ object JoinType {
   * capped code is the duplicate code extend the current match group with no
   * column access at all — this is how codes carried from in-sort aggregation
   * "speed up row comparisons in the merge join" (§6). Only the right match
-  * group is buffered: the group's left rows are emitted one at a time, so the
-  * output queue holds one left row's outputs at most.
+  * group is buffered: the group's left rows are emitted one at a time.
   *
   * '''Cursors.''' Both inputs are read through cursors
   * ([[repro.sort.SpillOutput.cursor]]): a sort's output through its tree's
-  * cursor, any other stream through a pass-through adapter. The join decides
-  * from the cursors' keys and codes and takes a left row as a row object
-  * only to emit it. A right match group keeps copies of its suffixes and
-  * payloads, because a cursor reuses its arrays.
+  * cursor, an ordered operator through its own, any other stream through a
+  * pass-through adapter. The join is a cursor too ([[JoinOutput]]): its
+  * current row is the left cursor's, read in place, and the join moves the
+  * left cursor past an emitted row only on its own next move. So a left row
+  * becomes a row object only if the join's consumer takes it. A right match
+  * group keeps copies of its suffixes and payloads, because a cursor reuses
+  * its arrays.
   *
   * '''Output coding.''' By the rules of [[JoinOutput]], with no further
   * column comparisons. A match's suffix is `right.key.drop(joinLen)`; an
@@ -57,11 +59,11 @@ object MergeJoinOp {
   }
 
   private final class MergeJoinIterator(
-      left: CodedCursor, leftArity: Int,
+      l: CodedCursor, leftArity: Int,
       right: CodedCursor, rightArity: Int,
       joinLen: Int, jt: JoinType, stats: OvcStats,
       rightPayloadArity: Int)
-      extends JoinOutput(jt, rightArity - joinLen + rightPayloadArity) {
+      extends JoinOutput(l, jt, rightArity - joinLen + rightPayloadArity) {
 
     private[this] val cmp = new OvcComparator(joinLen, stats)
 
@@ -78,8 +80,10 @@ object MergeJoinOp {
       if (jt == JoinType.Inner || jt == JoinType.LeftOuter) mutable.ArrayBuffer.empty[(Array[Long], Array[Long])]
       else null
     // True while the left row belongs to the match group `processMatch`
-    // collected.
+    // collected; `decided` while the left cursor is on a row the join has
+    // emitted or dropped, which the next seek moves past.
     private[this] var inGroup = false
+    private[this] var decided = false
 
     advL(); advR()
 
@@ -115,23 +119,30 @@ object MergeJoinOp {
       inGroup = true
     }
 
-    // A match group's left rows are emitted one at a time, each one after the
-    // first likewise detected by a duplicate capped code.
-    protected def fill(): Unit =
-      while (out.isEmpty && lLive) {
-        if (inGroup) {
-          matched(left, group)
-          advL()
-          inGroup = lLive && { stats.codeComparisons += 1; Ovc.isDup(lCap) }
-        }
-        else if (!rLive) { unmatched(left); advL() }
+    /** Moves the left cursor past a decided row. A match group's left rows
+      * after the first are detected by a duplicate capped code.
+      */
+    private def leave(): Unit =
+      if (decided) {
+        decided = false
+        advL()
+        if (inGroup) inGroup = lLive && { stats.codeComparisons += 1; Ovc.isDup(lCap) }
+      }
+
+    protected def seek(): Boolean = {
+      var found = false
+      while (!found && { leave(); lLive }) {
+        if (inGroup) { decided = true; found = matched(group) }
+        else if (!rLive) { decided = true; found = unmatched() }
         else {
           val c = cmp.compare(left.key, lCap, right.key, rCap)
-          if (c < 0) { rCap = cmp.loserCode; unmatched(left); advL() }
+          if (c < 0) { rCap = cmp.loserCode; decided = true; found = unmatched() }
           else if (c > 0) { lCap = cmp.loserCode; advR() }
           else processMatch()
         }
       }
+      found
+    }
   }
 }
 
@@ -143,51 +154,88 @@ object MergeJoinOp {
   * extra outputs of one left row (multiple matches) carry the duplicate code.
   * A joined row's payload is `left.payload ++ match suffix ++ match payload`;
   * an outer join extends an unmatched left row by `nulls` copies of the
-  * null sentinel `Long.MinValue`. Subclasses queue output in `fill` through
-  * [[unmatched]] and [[matched]], given the left input's cursor on the row,
-  * which is taken as a row object ([[CodedCursor.row]]) only if emitted.
+  * null sentinel `Long.MinValue`.
+  *
+  * The output is a cursor ([[CodedIterator]]) whose current row is the `left`
+  * cursor's row, read in place. A subclass's `seek` moves `left` to the next
+  * row the join emits, deciding each row it passes through [[unmatched]] or
+  * [[matched]]. The left row becomes a row object ([[CodedCursor.row]]) only
+  * when an output row is taken, and a joined row's payload is built only
+  * when it is read.
   */
-private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int)
-    extends Iterator[CodedRow] {
+private[ops] abstract class JoinOutput(protected[this] val left: CodedCursor, jt: JoinType, nulls: Int)
+    extends CodedIterator {
 
-  protected[this] val out = mutable.Queue.empty[CodedRow]
   private[this] val fold = new MaxFold // over dropped left rows
+  private[this] val joins = jt == JoinType.Inner || jt == JoinType.LeftOuter
 
-  /** Queues output until `out` is non-empty or the input ends. */
-  protected def fill(): Unit
+  // The output row: the left row with code `outCode`, which an inner or outer
+  // join joins with match `m` of `matches` (null for an outer join's null
+  // extension). `lRow` is the left row once taken as a row object, `joined`
+  // the joined payload once built.
+  private[this] var outCode = 0L
+  private[this] var matches: collection.IndexedSeq[(Array[Long], Array[Long])] = null
+  private[this] var m = 0
+  private[this] var lRow: CodedRow = null
+  private[this] var joined: Array[Long] = null
 
-  protected def unmatched(l: CodedCursor): Unit = jt match {
-    case JoinType.Inner | JoinType.LeftSemi => fold.drop(l.code)
-    case JoinType.LeftAnti => out += l.row(fold.keep(l.code))
-    case JoinType.LeftOuter =>
-      val r = l.row()
-      val p = java.util.Arrays.copyOf(r.payload, r.payload.length + nulls)
-      java.util.Arrays.fill(p, r.payload.length, p.length, Long.MinValue)
-      out += CodedRow(r.key, fold.keep(r.code), p)
+  /** Moves `left` to the next row the join emits; false once it has ended. */
+  protected def seek(): Boolean
+
+  final def move(): Boolean = {
+    joined = null
+    if (matches != null && m + 1 < matches.length) { m += 1; outCode = 0L; true } // duplicate left key
+    else { matches = null; lRow = null; seek() }
   }
 
-  protected def matched(l: CodedCursor, group: collection.IndexedSeq[(Array[Long], Array[Long])]): Unit =
+  /** Decides a left row that matches nothing; true if it is emitted. */
+  protected def unmatched(): Boolean = jt match {
+    case JoinType.Inner | JoinType.LeftSemi => fold.drop(left.code); false
+    case JoinType.LeftAnti | JoinType.LeftOuter => emit(null)
+  }
+
+  /** Decides a left row that matches `group`; true if it is emitted. */
+  protected def matched(group: collection.IndexedSeq[(Array[Long], Array[Long])]): Boolean =
     jt match {
-      case JoinType.LeftSemi => out += l.row(fold.keep(l.code))
-      case JoinType.LeftAnti => fold.drop(l.code)
-      case JoinType.Inner | JoinType.LeftOuter =>
-        val r = l.row()
-        var code = fold.keep(r.code)
-        var i = 0
-        while (i < group.length) {
-          val suffix = group(i)._1
-          val pay = group(i)._2
-          val p = java.util.Arrays.copyOf(r.payload, r.payload.length + suffix.length + pay.length)
-          System.arraycopy(suffix, 0, p, r.payload.length, suffix.length)
-          System.arraycopy(pay, 0, p, r.payload.length + suffix.length, pay.length)
-          out += CodedRow(r.key, code, p)
-          code = 0L // duplicate left key in the output
-          i += 1
-        }
+      case JoinType.LeftSemi => emit(null)
+      case JoinType.LeftAnti => fold.drop(left.code); false
+      case JoinType.Inner | JoinType.LeftOuter => emit(group)
     }
 
-  override def hasNext: Boolean = { fill(); out.nonEmpty }
-  override def next(): CodedRow = { fill(); out.dequeue() }
+  private def emit(group: collection.IndexedSeq[(Array[Long], Array[Long])]): Boolean = {
+    outCode = fold.keep(left.code)
+    matches = group
+    m = 0
+    true
+  }
+
+  def key: Array[Long] = left.key
+  def code: Long = outCode
+
+  def payload: Array[Long] =
+    if (!joins) left.payload
+    else {
+      if (joined == null) {
+        val lp = left.payload
+        if (matches == null) {
+          joined = java.util.Arrays.copyOf(lp, lp.length + nulls)
+          java.util.Arrays.fill(joined, lp.length, joined.length, Long.MinValue)
+        } else {
+          val (suffix, pay) = matches(m)
+          joined = java.util.Arrays.copyOf(lp, lp.length + suffix.length + pay.length)
+          System.arraycopy(suffix, 0, joined, lp.length, suffix.length)
+          System.arraycopy(pay, 0, joined, lp.length + suffix.length, pay.length)
+        }
+      }
+      joined
+    }
+
+  def row(code: Long): CodedRow =
+    if (!joins) left.row(code)
+    else {
+      if (lRow == null) lRow = left.row()
+      CodedRow(lRow.key, code, payload)
+    }
 }
 
 /** Order-preserving nested-loops (lookup) join (paper §4.8): the outer input
@@ -195,7 +243,8 @@ private[ops] abstract class JoinOutput(jt: JoinType, nulls: Int)
   * join-key prefix. An outer row whose capped code is the duplicate code
   * reuses the previous lookup result without calling `lookup` — offset-value
   * codes save the index probe as well as all comparisons. The outer input is
-  * read through a cursor, as [[MergeJoinOp]] reads its inputs.
+  * read through a cursor, as [[MergeJoinOp]] reads its inputs, and the join
+  * is a cursor over it likewise.
   */
 object LookupJoinOp {
 
@@ -207,19 +256,21 @@ object LookupJoinOp {
             lookupStats: LookupStats = new LookupStats,
             nullSentinelArity: Int = 0): Iterator[CodedRow] = {
     require(joinLen > 0 && joinLen <= outerArity)
-    new JoinOutput(jt, nullSentinelArity) {
-      private[this] val l = SpillOutput.cursor(outer)
+    new JoinOutput(SpillOutput.cursor(outer), jt, nullSentinelArity) {
       private[this] var cached: IndexedSeq[(Array[Long], Array[Long])] = null
 
-      protected def fill(): Unit =
-        while (out.isEmpty && l.move()) {
+      protected def seek(): Boolean = {
+        var found = false
+        while (!found && left.move()) {
           stats.codeComparisons += 1
-          if (cached == null || Ovc.isBoundary(l.code, outerArity, joinLen)) {
+          if (cached == null || Ovc.isBoundary(left.code, outerArity, joinLen)) {
             lookupStats.calls += 1
-            cached = lookup(l.key.take(joinLen))
+            cached = lookup(left.key.take(joinLen))
           }
-          if (cached.isEmpty) unmatched(l) else matched(l, cached)
+          found = if (cached.isEmpty) unmatched() else matched(cached)
         }
+        found
+      }
     }
   }
 }

@@ -2,8 +2,8 @@ package repro.ops
 
 import java.util.Arrays
 
-import repro.core.{CodedRow, ERow, Ovc, OvcStats}
-import repro.sort.LoserTree
+import repro.core.{CodedIterator, CodedRow, ERow, Ovc, OvcStats}
+import repro.sort.{LoserTree, SpillOutput}
 
 /** Segmented sorting (paper §4.3).
   *
@@ -19,6 +19,11 @@ import repro.sort.LoserTree
   * each segment carries the segment's boundary code (offsets < segLen refer to
   * `S` columns, which old and new key share). A replacement-suffix value
   * outside [0, 2^48) raises `IllegalArgumentException`.
+  *
+  * The operator reads its input through its cursor, copying each row's key
+  * into the segment with the row's payload, and is a cursor over its
+  * segments' trees: its current row is the tree's, read in place, with the
+  * boundary code on a segment's first row.
   */
 object SegmentedSortOp {
 
@@ -28,8 +33,9 @@ object SegmentedSortOp {
     require(newSuffixLen > 0, "need a non-empty replacement suffix")
     val newArity = segLen + newSuffixLen
 
-    new Iterator[CodedRow] {
-      private[this] var nextSeg: CodedRow = if (in.hasNext) in.next() else null
+    new CodedIterator {
+      private[this] val c = SpillOutput.cursor(in)
+      private[this] var live = c.move() // the cursor is on the next segment's first row
       // The segment's rows re-keyed to S ++ C, in an array as long as the
       // tree storage, a power of two; their tree; and the code of the
       // segment's first row, or -1 once that row has left.
@@ -37,34 +43,37 @@ object SegmentedSortOp {
       private[this] var storage = new LoserTree.Storage(seg.length)
       private[this] var sorted: LoserTree = null
       private[this] var boundaryCode = -1L
+      private[this] var outCode = 0L
 
-      private def loadSegment(): Unit =
-        while ((sorted == null || !sorted.hasNext) && nextSeg != null) {
-          // Boundary code on the new key: offsets < segLen index shared S columns.
-          boundaryCode = Ovc.recode(nextSeg.code, inArity, newArity)
-          var r = nextSeg
-          var n = 0
-          do {
-            if (n == seg.length) { seg = Arrays.copyOf(seg, 2 * n); storage = new LoserTree.Storage(2 * n) }
-            val key = Arrays.copyOf(r.key, newArity)
-            System.arraycopy(r.payload, 0, key, segLen, newSuffixLen)
-            seg(n) = ERow(key, r.payload)
-            n += 1
-            r = if (in.hasNext) { stats.codeComparisons += 1; in.next() } else null
-          } while (r != null && !Ovc.isBoundary(r.code, inArity, segLen))
-          nextSeg = r
-          sorted = LoserTree.ofRows(seg, 0, n, newArity, stats, storage, base = segLen)
-        }
-
-      override def hasNext: Boolean = { loadSegment(); sorted != null && sorted.hasNext }
-
-      override def next(): CodedRow = {
-        if (!hasNext) throw new NoSuchElementException("segmented sort exhausted")
-        sorted.move()
-        val code = if (boundaryCode >= 0) boundaryCode else sorted.code
-        boundaryCode = -1L
-        sorted.row(code)
+      private def loadSegment(): Unit = {
+        // Boundary code on the new key: offsets < segLen index shared S columns.
+        boundaryCode = Ovc.recode(c.code, inArity, newArity)
+        var n = 0
+        do {
+          if (n == seg.length) { seg = Arrays.copyOf(seg, 2 * n); storage = new LoserTree.Storage(2 * n) }
+          val key = Arrays.copyOf(c.key, newArity)
+          val p = c.row().payload
+          System.arraycopy(p, 0, key, segLen, newSuffixLen)
+          seg(n) = ERow(key, p)
+          n += 1
+          live = c.move() && { stats.codeComparisons += 1; true }
+        } while (live && !Ovc.isBoundary(c.code, inArity, segLen))
+        sorted = LoserTree.ofRows(seg, 0, n, newArity, stats, storage, base = segLen)
       }
+
+      def move(): Boolean = {
+        while ((sorted == null || !sorted.hasNext) && live) loadSegment()
+        sorted != null && sorted.move() && {
+          outCode = if (boundaryCode >= 0) boundaryCode else sorted.code
+          boundaryCode = -1L
+          true
+        }
+      }
+
+      def key: Array[Long] = sorted.key
+      def code: Long = outCode
+      def payload: Array[Long] = sorted.payload
+      def row(code: Long): CodedRow = sorted.row(code)
     }
   }
 }

@@ -1,7 +1,7 @@
 package repro.ops
 
 import repro.core.{CodedRow, OvcStats}
-import repro.sort.LoserTree
+import repro.sort.{LoserTree, SpillOutput}
 
 /** Order-preserving exchange (paper §4.9). */
 object Shuffle {
@@ -10,20 +10,23 @@ object Shuffle {
     * the stream is a filter, so each partition's [[MaxFold]] folds the codes
     * of rows routed elsewhere (§4.1). Works for any routing function — range,
     * hash, or round-robin — since a subsequence of a sorted stream is sorted.
+    * The input is read through its cursor; a row kept with its own code is
+    * the cursor's row object itself.
     */
   def split(in: Iterator[CodedRow], nParts: Int,
             partOf: CodedRow => Int): IndexedSeq[Vector[CodedRow]] = {
     require(nParts > 0)
     val builders = Vector.fill(nParts)(Vector.newBuilder[CodedRow])
     val folds = Array.fill(nParts)(new MaxFold)
-    in.foreach { r =>
-      val p = partOf(r)
+    val c = SpillOutput.cursor(in)
+    while (c.move()) {
+      val p = partOf(c.row())
       var q = 0
       while (q < nParts) {
-        if (q != p) folds(q).drop(r.code)
+        if (q != p) folds(q).drop(c.code)
         q += 1
       }
-      builders(p) += folds(p).pass(r)
+      builders(p) += c.row(folds(p).keep(c.code))
     }
     builders.map(_.result())
   }

@@ -9,7 +9,7 @@ import java.util.concurrent.ConcurrentHashMap
 import scala.jdk.CollectionConverters._
 import scala.util.control.NonFatal
 
-import repro.core.{CodedCursor, CodedRow, Ovc}
+import repro.core.{CodedCursor, CodedIterator, CodedRow, Ovc}
 
 /** Spill accounting for external algorithms: the unit the paper's Figure 3
   * argues about is "rows spilled to temporary storage".
@@ -310,14 +310,16 @@ final class SpillOutput[A] private[repro] (tmpDir: Path, prefix: String)
 object SpillOutput {
 
   /** `rows` read through a cursor: a stream that is its own cursor, a loser
-    * tree ([[LoserTree.move]]), as itself, which builds a row object, and for
-    * a run's rows key and payload arrays, only for a row the consumer takes
-    * with [[CodedCursor.row]]; a spilling operator's output through the
-    * cursor of the stream that computes it; any other stream through the
-    * pass-through adapter. A stream is read either as an iterator or through
-    * one cursor.
+    * tree ([[LoserTree.move]]) or an ordered operator ([[CodedIterator]]),
+    * as itself, which builds a row object, and for a run's rows key and
+    * payload arrays, only for a row the consumer takes with
+    * [[CodedCursor.row]]; a spilling operator's output through the cursor of
+    * the stream that computes it; any other stream, and an operator whose
+    * iterator has looked ahead, through the pass-through adapter. A stream
+    * is read either as an iterator or through one cursor.
     */
   private[repro] def cursor(rows: Iterator[CodedRow]): CodedCursor = rows match {
+    case op: CodedIterator if op.lookedAhead => new CodedCursor.Rows(op)
     case own: CodedCursor => own
     case out: SpillOutput[CodedRow @unchecked] => new out.OutputCursor(cursor(out.rows))
     case _ => new CodedCursor.Rows(rows)

@@ -16,7 +16,7 @@ import org.apache.spark.sql.types.{ByteType, IntegerType, LongType, ShortType, S
 import repro.core.{CodedRow, ERow, Ovc, OvcStats}
 import repro.ops.GroupAggOp
 import repro.plans.IntersectPlans
-import repro.sort.SpillStats
+import repro.sort.{SpillOutput, SpillStats}
 
 /** A key vector with lexicographic ordering and value equality, usable as a
   * key in a hashed or range-partitioned RDD shuffle. `OvcSpark` itself moves
@@ -181,20 +181,38 @@ object OvcSpark {
   }
 
   /** `rows` as Catalyst rows of non-null `bigint`s: each row's key, then the
-    * first `payloadCols` values of its payload. Every row is written into one
-    * reused `UnsafeRow`, valid until the next row is read, as Spark's own
-    * operators emit theirs.
+    * first `payloadCols` values of its payload. The rows are read in place
+    * through their cursor ([[SpillOutput.cursor]]), so an operator's output
+    * row becomes no row object, and each is written into one reused
+    * `UnsafeRow`, valid until the next row is read, as Spark's own operators
+    * emit theirs.
     */
-  private def longRows(rows: Iterator[CodedRow], arity: Int, payloadCols: Int): Iterator[InternalRow] = {
-    val w = new UnsafeRowWriter(arity + payloadCols)
-    rows.map { r =>
-      w.reset()
-      var i = 0
-      while (i < arity) { w.write(i, r.key(i)); i += 1 }
-      while (i < arity + payloadCols) { w.write(i, r.payload(i - arity)); i += 1 }
-      w.getRow
+  private def longRows(rows: Iterator[CodedRow], arity: Int, payloadCols: Int): Iterator[InternalRow] =
+    new Iterator[InternalRow] {
+      private[this] val c = SpillOutput.cursor(rows)
+      private[this] val w = new UnsafeRowWriter(arity + payloadCols)
+      // Whether `hasNext` has moved the cursor for a `next()` still to come,
+      // and the result of that move.
+      private[this] var ahead = false
+      private[this] var live = false
+
+      override def hasNext: Boolean = {
+        if (!ahead) { live = c.move(); ahead = true }
+        live
+      }
+
+      override def next(): InternalRow = {
+        if (!hasNext) throw new NoSuchElementException("no more rows")
+        ahead = false
+        w.reset()
+        val key = c.key
+        val payload = c.payload
+        var i = 0
+        while (i < arity) { w.write(i, key(i)); i += 1 }
+        while (i < arity + payloadCols) { w.write(i, payload(i - arity)); i += 1 }
+        w.getRow
+      }
     }
-  }
 
   /** A column name as a quoted identifier, so that Catalyst resolves it as
     * one name even when it contains dots or backticks.

@@ -145,4 +145,74 @@ class PipelineSpec extends AnyFunSuite {
     OvcInvariants.verifyChain(out, 2)
     junk.reset()
   }
+
+  test("ordered scan -> filter -> project -> semi join -> group: exact groups and counts, no per-row allocation") {
+    // The shape of the benchmark's ordered pipeline, over 2^20 rows of a
+    // table sorted on (month, flag, status, quantity) in fewer months, so
+    // that the rows outnumber the distinct keys about as much: each run of
+    // column j splits over the values of column j+1 with random weights,
+    // some absent from the third column on.
+    val domains = Array(12, 3, 2, 50)
+    val n = 1 << 20
+    val rnd = new scala.util.Random(42)
+    val values = new Array[Array[Long]](4)
+    val lengths = new Array[Array[Int]](4)
+    var parents = Array(n)
+    for (j <- 0 until 4) {
+      val vs = Array.newBuilder[Long]
+      val ls = Array.newBuilder[Int]
+      parents.foreach { len =>
+        val w = Array.tabulate(domains(j))(_ => if (j >= 2 && rnd.nextInt(10) == 0) 0.0 else 0.5 + rnd.nextDouble())
+        if (w.sum == 0.0) w(0) = 1.0
+        val total = w.sum
+        var cum = 0.0
+        var prevEnd = 0
+        for (v <- w.indices) {
+          cum += w(v)
+          val end = if (v == w.length - 1) len else math.round(len * cum / total).toInt
+          if (end > prevEnd) { vs += v.toLong; ls += end - prevEnd; prevEnd = end }
+        }
+      }
+      values(j) = vs.result()
+      lengths(j) = ls.result()
+      parents = lengths(j)
+    }
+    val table = new RleTable(4, n, values, lengths)
+    val months = (0L until 12L).filter(_ % 7 != 3)
+    val right = RleTable.fromSortedKeys(for (m <- months; a <- 0L until 2L) yield Array(m, a))
+
+    // Reference from the plain run arrays: (month, flag) -> rows kept.
+    val want = scala.collection.mutable.TreeMap.empty[(Long, Long), Long]
+    val ends = Array.fill(4)(0L)
+    val idx = Array.fill(4)(-1)
+    var row = 0L
+    while (row < n) {
+      for (j <- 0 until 4) if (row == ends(j)) { idx(j) += 1; ends(j) += lengths(j)(idx(j)) }
+      val len = ends(3) - row
+      val (m, f, q) = (values(0)(idx(0)), values(1)(idx(1)), values(3)(idx(3)))
+      if (q < 25 && months.contains(m)) want((m, f)) = want.getOrElse((m, f), 0L) + len
+      row += len
+    }
+
+    def plan(stats: OvcStats): Vector[CodedRow] = {
+      val kept = FilterOp(table.scan(stats), _.key(3) < 25)
+      val joined = MergeJoinOp(ProjectOp(kept, 4, 3), 3, right.scan(stats), 2, 1, JoinType.LeftSemi, stats)
+      GroupAggOp.countByOvc(joined, 3, 2, stats).toVector
+    }
+
+    val stats = new OvcStats
+    val groups = plan(stats)
+    assert(groups.map(g => (g.key(0), g.key(1)) -> g.payload(0)) == want.toVector)
+    OvcInvariants.verifyChain(groups, 2)
+    assert((stats.codeComparisons, stats.rowComparisons, stats.columnComparisons) == ((954798L, 93077L, 0L)))
+
+    (0 until 5).foreach(_ => plan(new OvcStats)) // warm-up
+    val mx = java.lang.management.ManagementFactory.getThreadMXBean
+      .asInstanceOf[com.sun.management.ThreadMXBean]
+    val before = mx.getCurrentThreadAllocatedBytes
+    plan(new OvcStats)
+    val perRow = (mx.getCurrentThreadAllocatedBytes - before).toDouble / n
+    info(f"$perRow%.3f B per input row")
+    assert(perRow < 0.5, f"$perRow%.3f B per input row")
+  }
 }

@@ -84,6 +84,32 @@ class ShuffleRleSpec extends AnyFunSuite {
       new RleTable(1, 2, Array(Array(1L, 1L << 48)), Array(Array(1, 1))))
   }
 
+  // Each malformed table below reads as some rows and then fails part way
+  // through a scan, or scans rows that differ from the stored runs, unless
+  // its constructor rejects it.
+
+  test("an RLE table whose column count differs from its arity is rejected when built") {
+    intercept[IllegalArgumentException](new RleTable(2, 2, Array(Array(1L)), Array(Array(2))))
+    intercept[IllegalArgumentException](
+      new RleTable(2, 2, Array(Array(1L), Array(1L)), Array(Array(2))))
+  }
+
+  test("an RLE column whose values and run lengths differ in number is rejected when built") {
+    intercept[IllegalArgumentException](new RleTable(1, 3, Array(Array(1L, 2L)), Array(Array(3))))
+  }
+
+  test("an RLE run of length zero is rejected when built") {
+    intercept[IllegalArgumentException](
+      new RleTable(1, 2, Array(Array(1L, 2L, 3L)), Array(Array(1, 0, 1))))
+  }
+
+  test("an RLE column whose run lengths do not sum to the row count is rejected when built") {
+    intercept[IllegalArgumentException](
+      new RleTable(2, 4, Array(Array(1L), Array(1L, 2L)), Array(Array(4), Array(2, 1))))
+    intercept[IllegalArgumentException](
+      new RleTable(1, 2, Array(Array(1L, 2L)), Array(Array(2, 1))))
+  }
+
   test("scan feeds downstream operators directly: dedup + group count") {
     val rows = DataGen.randomRows(2000, 2, 3, seed = 9)
     val sorted = Ref.sortCoded(rows)
