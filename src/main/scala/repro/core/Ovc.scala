@@ -23,8 +23,15 @@ final class OvcStats {
   /** Column values touched to compute hash functions (hash baselines only). */
   var hashColumnAccesses: Long = 0L
 
+  /** Key column values read to build packed normalized keys: N·K for each
+    * sort that packs its keys ([[repro.sort.PackedChunk]]). The `Long`
+    * compares of that sort's `java.util.Arrays.sort` are not counted.
+    */
+  var packColumnReads: Long = 0L
+
   def reset(): Unit = {
     codeComparisons = 0; columnComparisons = 0; rowComparisons = 0; hashColumnAccesses = 0
+    packColumnReads = 0
   }
 
   /** Adds `other`'s counts to these. */
@@ -33,10 +40,12 @@ final class OvcStats {
     columnComparisons += other.columnComparisons
     rowComparisons += other.rowComparisons
     hashColumnAccesses += other.hashColumnAccesses
+    packColumnReads += other.packColumnReads
   }
 
   override def toString: String =
-    s"OvcStats(code=$codeComparisons, column=$columnComparisons, row=$rowComparisons, hashCol=$hashColumnAccesses)"
+    s"OvcStats(code=$codeComparisons, column=$columnComparisons, row=$rowComparisons, " +
+    s"hashCol=$hashColumnAccesses, packCol=$packColumnReads)"
 }
 
 /** Ascending offset-value codes over fixed-arity `Long` keys, packed into a

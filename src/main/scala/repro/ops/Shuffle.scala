@@ -10,8 +10,8 @@ object Shuffle {
     * the stream is a filter, so each partition's [[MaxFold]] folds the codes
     * of rows routed elsewhere (§4.1). Works for any routing function — range,
     * hash, or round-robin — since a subsequence of a sorted stream is sorted.
-    * The input is read through its cursor; a row kept with its own code is
-    * the cursor's row object itself.
+    * The input is read through its cursor, and each row is taken from it
+    * once; a row kept with its own code is that row object itself.
     */
   def split(in: Iterator[CodedRow], nParts: Int,
             partOf: CodedRow => Int): IndexedSeq[Vector[CodedRow]] = {
@@ -20,13 +20,15 @@ object Shuffle {
     val folds = Array.fill(nParts)(new MaxFold)
     val c = SpillOutput.cursor(in)
     while (c.move()) {
-      val p = partOf(c.row())
+      val r = c.row()
+      val p = partOf(r)
       var q = 0
       while (q < nParts) {
-        if (q != p) folds(q).drop(c.code)
+        if (q != p) folds(q).drop(r.code)
         q += 1
       }
-      builders(p) += c.row(folds(p).keep(c.code))
+      val code = folds(p).keep(r.code)
+      builders(p) += (if (code == r.code) r else r.copy(code = code))
     }
     builders.map(_.result())
   }

@@ -21,6 +21,12 @@ import repro.core.{CodedRow, ERow, OvcStats}
   * the calling thread merges their rows as they come and writes the run
   * (see [[RunGen]]). Everything else runs on the calling thread.
   *
+  * An input that fits in one chunk is not spilled. It is sorted as a
+  * [[PackedChunk]], one packed normalized key per row, whose codes come
+  * from the XOR of sorted neighbours; only a key that needs more than 63
+  * bits with its row index still takes the loser tree over single-row runs.
+  * Both emit the same rows, codes and payloads.
+  *
   * With `dedup = true` this is the paper's "in-sort aggregation" for duplicate
   * removal [10]: rows whose code has offset == arity are dropped both before
   * spilling (run generation) and in every merge, so duplicates are never
@@ -28,7 +34,8 @@ import repro.core.{CodedRow, ERow, OvcStats}
   * perturbs the code chain because the duplicate code 0 is the identity of the
   * max-fold of §4.1. Each tree whose drain is a run or the output skips
   * them itself: run generation's tree (the top tree of a split chunk), the
-  * merge trees, and the tree of an input that fits in memory.
+  * merge trees, and the packed chunk or tree of an input that fits in
+  * memory.
   *
   * Merges decode each run's rows straight into their tree's entries
   * ([[LoserTree.ofRuns]]). The output may be read through its final tree's
@@ -85,7 +92,8 @@ object ExternalSort {
     val out = new SpillOutput[CodedRow](tmpDir, "ovc-sort")
     if (n == 0) return out
     if (!input.hasNext) // fits in memory: no spill
-      return out.of(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup))
+      return out.of(PackedChunk.sort(chunk, n, arity, stats, dedup)
+                      .getOrElse(LoserTree.ofRows(chunk, 0, n, arity, stats, null, dedup)))
 
     out.of {
       val gen = new RunGen(arity, stats, slices, dedup)

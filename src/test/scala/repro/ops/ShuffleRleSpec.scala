@@ -30,6 +30,23 @@ class ShuffleRleSpec extends AnyFunSuite {
     parts.foreach(p => OvcInvariants.verifyChain(p, 2))
   }
 
+  test("split over a loser tree's cursor takes each row once: a row kept with its own code is the row routed") {
+    val in = Ref.sortCoded(DataGen.randomRows(1000, 3, 4, seed = 6, payloadArity = 1))
+    val routed = Vector.newBuilder[CodedRow]
+    val tree = Shuffle.merge(IndexedSeq(in.iterator), 3, new OvcStats)
+    val parts = Shuffle.split(tree, 3, r => { routed += r; (r.key(0) % 3).toInt })
+    val byPart = routed.result().groupBy(r => (r.key(0) % 3).toInt)
+    parts.zipWithIndex.foreach { case (p, i) =>
+      val seen = byPart.getOrElse(i, Vector.empty)
+      assert(p.size == seen.size)
+      p.zip(seen).foreach { case (out, r) =>
+        assert((out.key eq r.key) && (out.payload eq r.payload))
+        assert((out eq r) == (out.code == r.code), s"$out routed as $r")
+      }
+      OvcInvariants.verifyChain(p, 3)
+    }
+  }
+
   // ---- Merging shuffle ----
 
   for (seed <- 0 until 3; nParts <- Seq(2, 4, 7)) {

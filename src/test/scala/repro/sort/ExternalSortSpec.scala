@@ -474,11 +474,11 @@ class ExternalSortSpec extends AnyFunSuite with TimeLimits {
   // must play the same matches and write the same runs.
   for ((dedup, pin) <- Seq(
          false -> ((6000, "a2755f47c230be1fd4eede8c86fb4aa2b18db3901ec1655e27cfe661f5e79b92",
-                    "OvcStats(code=68240, column=11844, row=68240, hashCol=0)",
+                    "OvcStats(code=68240, column=11844, row=68240, hashCol=0, packCol=0)",
                     "SpillStats(rows=30000, runs=47, bytes=1230047, levels=4)",
                     "65a0418c132be1d3d7d2edebbaea5f5c23070808dc7e305fee91d8602ced6c31")),
          true -> ((1674, "3400bb2ac5fd92927c54dd6d4f9a58c35d20df34218d95975bb38627f441906d",
-                   "OvcStats(code=60570, column=11844, row=60570, hashCol=0)",
+                   "OvcStats(code=60570, column=11844, row=60570, hashCol=0, packCol=0)",
                    "SpillStats(rows=21497, runs=47, bytes=881424, levels=4)",
                    "1130455074d8870216d9e79fa4040cff6c2286d75f2be0c5539d25f3c3435e63")));
        slices <- Seq(1, 4)) {
