@@ -74,15 +74,6 @@ object Ovc {
   def pack(arity: Int, offset: Int, value: Long): Long =
     if (offset >= arity) 0L else ((arity - offset).toLong << ValueBits) | value
 
-  /** Like [[pack]] but validates ranges; use outside hot paths. */
-  def packChecked(arity: Int, offset: Int, value: Long): Long = {
-    require(arity > 0 && arity <= 0x7ffe, s"bad arity $arity")
-    require(offset >= 0 && offset <= arity, s"bad offset $offset for arity $arity")
-    require(offset == arity || (value >= 0 && value <= ValueMask),
-            s"value $value out of 48-bit range")
-    pack(arity, offset, value)
-  }
-
   /** Rejects a key whose first `arity` columns do not all fit the value
     * field, naming the first column that does not.
     */
@@ -159,16 +150,6 @@ object Ovc {
     }
     0
   }
-
-  // --- Display forms used only to reproduce the paper's Table 1 exactly ---
-
-  /** Ascending display code, e.g. offset 0, value 5, arity 4, domain 100 -> 405. */
-  def ascDisplay(arity: Int, offset: Int, value: Long, domain: Int = 100): Long =
-    if (offset >= arity) 0L else (arity - offset).toLong * domain + value
-
-  /** Descending display code, e.g. offset 3, value 12, domain 100 -> 388. */
-  def descDisplay(arity: Int, offset: Int, value: Long, domain: Int = 100): Long =
-    if (offset >= arity) (arity.toLong * domain) else offset.toLong * domain + (domain - value)
 }
 
 /** The paper's comparison rule for two keys coded relative to the same base

@@ -31,8 +31,12 @@ class BasicOpsSpec extends AnyFunSuite {
   }
 
   test("paper Table 2: filter keeps rows 1 and 7 with codes 405 and 309") {
-    val got = repro.benchlib.TablesHarness.table2()
-    assert(got.map(_._2) == Vector(405L, 309L))
+    import OvcSpec.{Table1Rows, ascDisplay}
+    val coded = DataGen.codeSorted(Table1Rows.map(_.toArray))
+    val keep = Set(Table1Rows.head, Table1Rows.last)
+    val got = FilterOp(coded.iterator, r => keep.contains(r.key.toVector)).toVector
+    assert(got.map(_.key.toVector) == Vector(Table1Rows.head, Table1Rows.last))
+    assert(got.map(r => ascDisplay(4, Ovc.offsetOf(r.code, 4), Ovc.valueOf(r.code))) == Vector(405L, 309L))
   }
 
   test("filter keeping everything changes no codes") {

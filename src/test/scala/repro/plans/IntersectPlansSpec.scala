@@ -8,6 +8,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 import repro.benchlib.Fig3Harness
 import repro.core._
+import repro.plans.IntersectPlans.PlanMetrics
 import repro.sort.RunFile
 
 /** The two "intersect distinct" plans of Figure 2/3 at test scale. */
@@ -38,28 +39,41 @@ class IntersectPlansSpec extends AnyFunSuite {
     assert(sort.outputRows == hash.outputRows)
   }
 
+  /** Both plans over Fig. 3's two `n`-row inputs with 4-column keys, built
+    * from `seed` and `seed + 1`; their results must agree.
+    */
+  private def fig3(n: Int, memRows: Int, seed: Long): (PlanMetrics, PlanMetrics) = {
+    val universe = 3L * n / 4
+    val base = math.max(2L, math.ceil(math.pow(universe.toDouble, 1.0 / 4)).toLong)
+    val t1 = Fig3Harness.makeInput(n, 0, n / 2, 4, base, seed)
+    val t2 = Fig3Harness.makeInput(n, n / 4, universe, 4, base, seed + 1)
+    val sort = IntersectPlans.sortBased(() => t1.iterator, () => t2.iterator, 4, memRows)
+    val hash = IntersectPlans.hashBased(() => t1.iterator, () => t2.iterator, 4, memRows)
+    assert(sort.outputRows == hash.outputRows)
+    (sort, hash)
+  }
+
   test("under memory pressure the sort plan spills fewer rows than the hash plan") {
-    val r = Fig3Harness.run(n = 60000, memRows = 6000, seed = 11)
-    assert(r.sort.spilledRows > 0)
-    assert(r.hash.spilledRows > r.sort.spilledRows,
-           s"hash=${r.hash.spilledRows} sort=${r.sort.spilledRows}")
+    val (sort, hash) = fig3(n = 60000, memRows = 6000, seed = 11)
+    assert(sort.spilledRows > 0)
+    assert(hash.spilledRows > sort.spilledRows, s"hash=${hash.spilledRows} sort=${sort.spilledRows}")
   }
 
   test("sort plan's column comparisons are dwarfed by hash plan's column accesses") {
-    val r = Fig3Harness.run(n = 30000, memRows = 3000, seed = 12)
+    val (sort, hash) = fig3(n = 30000, memRows = 3000, seed = 12)
     // The paper's closing argument: hash execution touches N*K columns for
     // hashing alone; OVC sort execution touches only columns needed to
     // establish differences.
-    assert(r.sort.stats.hashColumnAccesses == 0)
-    assert(r.hash.stats.hashColumnAccesses > 2L * 30000 * 4)
+    assert(sort.stats.hashColumnAccesses == 0)
+    assert(hash.stats.hashColumnAccesses > 2L * 30000 * 4)
   }
 
   test("Fig3 harness inputs overlap roughly as designed (~thirds)") {
-    val r = Fig3Harness.run(n = 20000, memRows = 100000, seed = 13)
+    val (sort, _) = fig3(n = 20000, memRows = 100000, seed = 13)
     // ids: T1 in [0, n/2), T2 in [n/4, 3n/4): about half of each side's
     // distinct ids lie in the shared range.
-    assert(r.sort.outputRows > 1000, s"intersection too small: ${r.sort.outputRows}")
-    assert(r.sort.outputRows < 10000, s"intersection too large: ${r.sort.outputRows}")
+    assert(sort.outputRows > 1000, s"intersection too small: ${sort.outputRows}")
+    assert(sort.outputRows < 10000, s"intersection too large: ${sort.outputRows}")
   }
 
   test("the sort plan allocates under 28 bytes per input row on a spilling input") {
